@@ -1,117 +1,119 @@
 """Canonical labeling via colour refinement and individualisation.
 
-Works on a bare adjacency structure (a list of neighbour -> multiplicity
-mappings plus an optional per-vertex loop count) so generator code can
-canonicalise intermediate multigraphs that still carry loops.  The
-public MultiGraph type is loopless and passes loops=None.
-
-The canonical form is the lexicographically least serialization of the
-multiplicity matrix over all labelings reachable in the refinement
-search tree.  Colour ids are renumbered ordinally after every pass, so
-the search tree (and hence the chosen form) is isomorphism-invariant.
+Works on bare adjacency (neighbour -> multiplicity dicts, plus optional
+per-vertex loop counts) so generators can key multigraphs with loops.
+The key is the least serialization (n, the loop counts, the upper
+triangle of the multiplicity matrix; a value x from 255 up is x // 255
+bytes 255, then the byte x % 255) over the leaves of the search tree.
+Refinement makes synchronous passes over an ordered partition whose
+colours are cell positions.  Past the root's first pass, a pass re-signs
+only cells next to the individualized vertex or to a part, other than a
+largest one, of a cell the last pass split.  Automorphisms prune the
+search (McKay & Piperno, J. Symbolic Comput. 60, 2014): a leaf equal to
+the best yields one, and the search returns to where the two paths part;
+a child in the orbit of an explored sibling, under the automorphisms
+found that fix the node's individualized vertices, is skipped.  Neither
+rule loses a serialization; the automorphisms found generate the group.
 """
 
-from __future__ import annotations
+from itertools import groupby
 
 
-def _refine(n, nbrs, loops, colors):
-    while True:
-        sigs = [
-            (colors[v], loops[v], tuple(sorted((colors[w], t) for w, t in nbrs[v])))
-            for v in range(n)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj, loops, cells, touched):
+    """Refine an ordered partition until stable; the first pass re-signs touched cells."""
+    colors = [0] * len(adj)
+    while len(cells) < len(adj):
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        split = {}
+        for i in {colors[v] for v in touched if len(cells[colors[v]]) > 1}:
+            sig = sorted([((loops[v], sorted([(colors[w], t) for w, t in adj[v].items()])), v)
+                          for v in cells[i]])
+            if sig[0][0] != sig[-1][0]:
+                split[i] = [[x[1] for x in run] for _, run in groupby(sig, lambda x: x[0])]
+        if not split:
+            break
+        smaller = [part for p in split.values() for part in sorted(p, key=len)[:-1]]
+        touched = [w for part in smaller for v in part for w in adj[v]]
+        cells = [part for i, cell in enumerate(cells) for part in split.get(i, (cell,))]
+    return cells
 
 
 def _serialize(n, adj, loops, order):
-    out = bytearray()
-    out.append(n)
-    for v in order:
-        out.append(loops[v])
-    for i in range(n):
-        vi = order[i]
-        row = adj[vi]
-        for j in range(i + 1, n):
-            out.append(row.get(order[j], 0))
-    return bytes(out)
+    vals = [n] + [loops[v] for v in order]
+    for i, v in enumerate(order):
+        row = adj[v]
+        vals += [row.get(w, 0) for w in order[i + 1 :]]
+    if max(vals) < 255:
+        return bytes(vals)
+    return b"".join(b"\xff" * (x // 255) + bytes([x % 255]) for x in vals)
 
 
-def _first_cell(n, colors):
-    # smallest colour owning more than one vertex, or None when discrete
-    seen = {}
-    for v, c in enumerate(colors):
-        if c in seen:
-            seen[c].append(v)
+def _orbit(points, gens, fixed):
+    """The points' orbit under the gens fixing fixed, as {y: (g, x) with g[x] == y, or None}."""
+    gens = [g for g in gens if all(g[u] == u for u in fixed)]
+    tree = dict.fromkeys(points)
+    queue = list(points)
+    for x in queue:
+        for g in gens:
+            if g[x] not in tree:
+                tree[g[x]] = (g, x)
+                queue.append(g[x])
+    return tree
+
+
+def _search(n, adj, loops):
+    """The least serialization, automorphism generators and the best leaf's path."""
+    loops = loops or [0] * n
+    best = best_order = best_path = None
+    gens = []  # automorphisms as {v: image} maps
+    path = []  # the vertex individualized at each depth above the current node
+    nodes = []  # (cells, target cell index, explored children) per inner node on path
+    cells = _refine(adj, loops, [list(range(n))] if n else [], range(n))
+    while True:
+        if len(cells) < n:
+            nodes.append((cells, next(i for i, c in enumerate(cells) if len(c) > 1), []))
         else:
-            seen[c] = [v]
-    for c in sorted(seen):
-        if len(seen[c]) > 1:
-            return seen[c]
-    return None
-
-
-def _search(n, adj, nbrs, loops, want_auts):
-    if n == 0:
-        return b"\x00", [()]
-    if n > 255:
-        raise ValueError("canonical form supports at most 255 vertices")
-    best = None
-    best_orders = []
-    stack = [_refine(n, nbrs, loops, [0] * n)]
-    while stack:
-        colors = stack.pop()
-        cell = _first_cell(n, colors)
-        if cell is None:
-            order = sorted(range(n), key=colors.__getitem__)
+            order = [c[0] for c in cells]
             s = _serialize(n, adj, loops, order)
             if best is None or s < best:
-                best = s
-                best_orders = [order]
-            elif want_auts and s == best:
-                best_orders.append(order)
-            continue
-        for v in cell:
-            child = [2 * c for c in colors]
-            child[v] -= 1
-            stack.append(_refine(n, nbrs, loops, child))
-    return best, best_orders
-
-
-def _prepare(n, adj, loops):
-    if loops is None:
-        loops = [0] * n
-    nbrs = [list(adj[v].items()) for v in range(n)]
-    return nbrs, loops
-
-
-def canonical_form(n, adj, loops=None):
-    """Return (key bytes, order) where order[i] is the vertex placed at i."""
-    nbrs, loops = _prepare(n, adj, loops)
-    key, orders = _search(n, adj, nbrs, loops, False)
-    return key, tuple(orders[0]) if orders and orders[0] is not None else ()
+                best, best_order, best_path = s, order, path[:]
+            elif s == best:
+                gens.append(dict(zip(best_order, order)))
+                parted = next(d for d, (a, b) in enumerate(zip(path, best_path)) if a != b)
+                del nodes[parted + 1 :]
+        while nodes:
+            depth = len(nodes) - 1
+            cells, t, explored = nodes[-1]
+            seen = _orbit(explored, gens, path[:depth]) if explored else ()
+            w = next((v for v in cells[t] if v not in seen), None)
+            if w is not None:
+                explored.append(w)
+                path[depth:] = [w]
+                rest = [v for v in cells[t] if v != w]
+                cells = _refine(adj, loops, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w])
+                break
+            nodes.pop()
+        else:
+            return best, gens, best_path
 
 
 def canonical_key(n, adj, loops=None):
-    nbrs, loops = _prepare(n, adj, loops)
-    key, _ = _search(n, adj, nbrs, loops, False)
-    return key
+    return _search(n, adj, loops)[0]
 
 
 def automorphisms(n, adj, loops=None):
-    """The full automorphism group as vertex maps (tuples sigma with sigma[v])."""
-    nbrs, loops = _prepare(n, adj, loops)
-    _, orders = _search(n, adj, nbrs, loops, True)
-    if not orders:
-        return [()]
-    base = orders[0]
-    pos = [0] * n
-    for i, v in enumerate(base):
-        pos[v] = i
-    auts = []
-    for other in orders:
-        auts.append(tuple(other[pos[v]] for v in range(n)))
-    return auts
+    """The full automorphism group as vertex maps (tuples sigma with sigma[v]).
+
+    Generators fixing the first i vertices of the best leaf's path generate
+    their stabilizer: the group is a product of transversals along it."""
+    _, gens, path = _search(n, adj, loops)
+    ident = tuple(range(n))
+    group = [ident]
+    for depth in reversed(range(len(path))):
+        reps = {}
+        for y, step in _orbit([path[depth]], gens, path[:depth]).items():
+            reps[y] = ident if step is None else tuple(map(step[0].__getitem__, reps[step[1]]))
+        group = [tuple(map(r.__getitem__, h)) for r in reps.values() for h in group]
+    return group

@@ -22,7 +22,7 @@ class EdgeAbsent(ForestryError):
 
 
 class TooLarge(ForestryError):
-    """Input exceeds the brute-force edge cap."""
+    """Input exceeds the brute-force edge cap or the parsers' vertex limit."""
 
 
 class InvalidPartition(ForestryError):

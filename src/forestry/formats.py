@@ -7,15 +7,22 @@ repeating a pair accumulates multiplicity.  graph6 (the usual 6-bit
 upper-triangle encoding) is accepted for simple graphs.
 
 Parse problems raise ValueError; structural problems (loops, bad
-vertex ids) surface as the graph errors from from_edge_list.
+vertex ids) surface as the graph errors from from_edge_list.  A vertex
+count above MAX_VERTICES raises TooLarge before any graph is built.
 """
 
-from __future__ import annotations
-
-from .errors import NotSimple
-from .multigraph import MultiGraph, from_edge_list
+from .errors import NotSimple, TooLarge
+from .multigraph import from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
+# a graph holds one neighbour dict per vertex, so a header alone could
+# otherwise ask for any amount of memory
+MAX_VERTICES = 100_000
+
+
+def _check_order(n):
+    if n > MAX_VERTICES:
+        raise TooLarge(f"{n} vertices is above the input limit of {MAX_VERTICES}")
 
 
 def _meaningful_lines(text):
@@ -39,6 +46,7 @@ def parse_edge_list(text):
         raise ValueError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise ValueError(f"header counts must be nonnegative, got {lines[0]!r}")
+    _check_order(n)
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"header announces {m} edges, found {len(body)} edge lines")
@@ -78,22 +86,15 @@ def parse_graph6(text):
     if not s:
         raise ValueError("empty graph6 string")
     vals = _g6_bytes(s)
-    if vals[0] == 63:
-        if len(vals) >= 2 and vals[1] == 63:
-            if len(vals) < 8:
-                raise ValueError("truncated graph6 vertex count")
-            n = 0
-            for v in vals[2:8]:
-                n = n << 6 | v
-            rest = vals[8:]
-        else:
-            if len(vals) < 4:
-                raise ValueError("truncated graph6 vertex count")
-            n = vals[1] << 12 | vals[2] << 6 | vals[3]
-            rest = vals[4:]
-    else:
-        n = vals[0]
-        rest = vals[1:]
+    # the order takes one character, or 63 and three more, or 63 63 and six more
+    head = 1 if vals[0] != 63 else 4 if vals[1:2] != [63] else 8
+    if len(vals) < head:
+        raise ValueError("truncated graph6 vertex count")
+    n = 0
+    for v in vals[head // 4 : head]:
+        n = n << 6 | v
+    _check_order(n)
+    rest = vals[head:]
     nbits = n * (n - 1) // 2
     if len(rest) != (nbits + 5) // 6:
         raise ValueError(

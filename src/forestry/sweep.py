@@ -2,10 +2,10 @@
 
 A sweep walks every graph of one family up to a chosen order, compares
 its forest count against the family's lower bound, and appends one JSON
-line per graph to a store file.  Finished keys can be skipped on a rerun.
-The sweep fails loudly if the set of violating graphs is anything other
-than the known exceptional ones, since that can only mean a generator or
-counting defect.
+line per graph to a store file.  A rerun can skip the stored graphs; their
+stored verdicts count as if checked again.  The sweep fails loudly if the
+set of violating graphs is anything other than the known exceptional
+ones, since that can only mean a generator or counting defect.
 """
 
 import json
@@ -116,12 +116,13 @@ def run_store_append(store, record):
 
 
 def run_store_resume(store, family=None):
-    """Keys already present in the store, optionally for one family only.
+    """{key: record} for the store's records, optionally of one family only.
 
     A missing store counts as empty; unreadable lines are skipped with a
-    logged warning so one bad write never blocks a rerun.
+    logged warning so one bad write never blocks a rerun.  A key stored
+    twice maps to its last record.
     """
-    done = set()
+    done = {}
     try:
         fh = open(store, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -138,7 +139,7 @@ def run_store_resume(store, family=None):
                 log.warning("%s line %d skipped: %s", store, lineno, exc)
                 continue
             if family is None or record.family == family:
-                done.add(record.key)
+                done[record.key] = record
     return done
 
 
@@ -155,7 +156,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
         canonical_key(catalog_entry(name).graph): (order, name)
         for order, name in exceptional
     }
-    done = run_store_resume(store, family) if (resume and store) else set()
+    done = run_store_resume(store, family) if (resume and store) else {}
     if cache is None:
         cache = MemoCache()
     checked = skipped = 0
@@ -167,44 +168,38 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
             key = canonical_key(g)
             if key in done:
                 skipped += 1
-                if key in expected:
-                    outcome[key] = "skipped"
-                continue
-            forests = count_forests(g, cache)
-            bound = bound_fn(g)
-            verdict = compare(forests, bound)
-            record = SweepRecord(
-                family, n, key, forests, str(bound), verdict,
-                key in expected, _stamp(),
-            )
-            if store:
-                run_store_append(store, record)
-            checked += 1
+                verdict = done[key].verdict
+            else:
+                forests = count_forests(g, cache)
+                bound = bound_fn(g)
+                verdict = compare(forests, bound)
+                record = SweepRecord(
+                    family, n, key, forests, str(bound), verdict,
+                    key in expected, _stamp(),
+                )
+                if store:
+                    run_store_append(store, record)
+                checked += 1
             if verdict == LESS:
                 violations.append((n, key))
             elif verdict == EQUAL:
                 equalities.append((n, key))
-            if key in expected:
-                outcome[key] = verdict
+            outcome[key] = verdict
 
-    trouble = []
-    bad_keys = []
+    trouble = {}  # key -> message
     for n, key in violations:
         if key not in expected:
-            trouble.append("unexpected violation at n=%d key=%s" % (n, key.hex()))
-            bad_keys.append(key)
+            trouble[key] = "unexpected violation at n=%d key=%s" % (n, key.hex())
     for key, (order, name) in expected.items():
         if order > n_max:
             continue
         seen = outcome.get(key)
         if seen is None:
-            trouble.append("%s never enumerated at n=%d" % (name, order))
-            bad_keys.append(key)
-        elif seen not in ("skipped", LESS):
-            trouble.append("%s expected to violate but compared %s" % (name, seen))
-            bad_keys.append(key)
+            trouble[key] = "%s never enumerated at n=%d" % (name, order)
+        elif seen != LESS:
+            trouble[key] = "%s expected to violate but compared %s" % (name, seen)
     if trouble:
-        raise ViolationFound("; ".join(trouble), keys=tuple(bad_keys))
+        raise ViolationFound("; ".join(trouble.values()), keys=tuple(trouble))
 
     return SweepSummary(
         theorem, family, n_max, checked, skipped,

@@ -189,3 +189,106 @@ def cycle_graph(n):
 
 def path_graph(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# Reference canonical labeling: the search tree of forestry.canon walked
+# in full, with no automorphism pruning and whole-partition refinement
+# passes.  This is the first canon implementation, unchanged except for
+# the function names, so tests can demand byte-identical keys and equal
+# automorphism groups.
+
+
+def _reference_refine(n, nbrs, loops, colors):
+    while True:
+        sigs = [
+            (colors[v], loops[v], tuple(sorted((colors[w], t) for w, t in nbrs[v])))
+            for v in range(n)
+        ]
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [remap[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _reference_serialize(n, adj, loops, order):
+    out = bytearray()
+    out.append(n)
+    for v in order:
+        out.append(loops[v])
+    for i in range(n):
+        vi = order[i]
+        row = adj[vi]
+        for j in range(i + 1, n):
+            out.append(row.get(order[j], 0))
+    return bytes(out)
+
+
+def _reference_first_cell(n, colors):
+    # smallest colour owning more than one vertex, or None when discrete
+    seen = {}
+    for v, c in enumerate(colors):
+        if c in seen:
+            seen[c].append(v)
+        else:
+            seen[c] = [v]
+    for c in sorted(seen):
+        if len(seen[c]) > 1:
+            return seen[c]
+    return None
+
+
+def _reference_search(n, adj, nbrs, loops, want_auts):
+    if n == 0:
+        return b"\x00", [()]
+    if n > 255:
+        raise ValueError("canonical form supports at most 255 vertices")
+    best = None
+    best_orders = []
+    stack = [_reference_refine(n, nbrs, loops, [0] * n)]
+    while stack:
+        colors = stack.pop()
+        cell = _reference_first_cell(n, colors)
+        if cell is None:
+            order = sorted(range(n), key=colors.__getitem__)
+            s = _reference_serialize(n, adj, loops, order)
+            if best is None or s < best:
+                best = s
+                best_orders = [order]
+            elif want_auts and s == best:
+                best_orders.append(order)
+            continue
+        for v in cell:
+            child = [2 * c for c in colors]
+            child[v] -= 1
+            stack.append(_reference_refine(n, nbrs, loops, child))
+    return best, best_orders
+
+
+def _reference_prepare(n, adj, loops):
+    if loops is None:
+        loops = [0] * n
+    nbrs = [list(adj[v].items()) for v in range(n)]
+    return nbrs, loops
+
+
+def reference_canonical_key(n, adj, loops=None):
+    nbrs, loops = _reference_prepare(n, adj, loops)
+    key, _ = _reference_search(n, adj, nbrs, loops, False)
+    return key
+
+
+def reference_automorphisms(n, adj, loops=None):
+    """The full automorphism group as vertex maps (tuples sigma with sigma[v])."""
+    nbrs, loops = _reference_prepare(n, adj, loops)
+    _, orders = _reference_search(n, adj, nbrs, loops, True)
+    if not orders:
+        return [()]
+    base = orders[0]
+    pos = [0] * n
+    for i, v in enumerate(base):
+        pos[v] = i
+    auts = []
+    for other in orders:
+        auts.append(tuple(other[pos[v]] for v in range(n)))
+    return auts

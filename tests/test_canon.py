@@ -1,12 +1,36 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestry import MultiGraph, automorphisms, canonical_key, from_edge_list, relabel
+from forestry import (
+    MemoCache,
+    MultiGraph,
+    automorphisms,
+    canonical_key,
+    count_forests,
+    from_edge_list,
+    relabel,
+)
+from forestry import canon
 
-from oracles import complete_graph, cycle_graph, path_graph, perm_isomorphic, rand_multigraph
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    perm_isomorphic,
+    rand_multigraph,
+    reference_automorphisms,
+    reference_canonical_key,
+)
+
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+)
 
 
 def _all_simple_graphs(n):
@@ -91,3 +115,92 @@ def test_loop_aware_keys():
     loop_right = raw_key(2, bar, loops=[0, 2])
     assert loop_left == loop_right
     assert loop_left != dumbbell
+
+
+# -- the pruned search against the full reference search ----------------
+
+
+def _raw(n, mults):
+    """Adjacency dicts from {(u, v): multiplicity} with u < v."""
+    adj = [{} for _ in range(n)]
+    for (u, v), t in sorted(mults.items()):
+        if t:
+            adj[u][v] = adj[v][u] = t
+    return adj
+
+
+def _assert_matches_reference(n, adj, loops=None):
+    assert canon.canonical_key(n, adj, loops) == reference_canonical_key(n, adj, loops)
+    auts = canon.automorphisms(n, adj, loops)
+    assert len(auts) == len(set(auts))
+    assert set(auts) == set(reference_automorphisms(n, adj, loops))
+
+
+@st.composite
+def raw_multigraphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    mults = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    loops = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return n, _raw(n, dict(zip(pairs, mults))), loops
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_multigraphs())
+def test_keys_and_groups_match_the_reference_search(graph):
+    _assert_matches_reference(*graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_sparse_multigraphs_match_the_reference_search(seed):
+    # sparse draws reach the symmetric graphs (cycles, matchings, stars)
+    # that dense uniform multiplicities rarely produce
+    g = rand_multigraph(random.Random(seed), max_n=7, max_edges=10)
+    adj = [{w: g.multiplicity(v, w) for w in g.neighbors(v)} for v in range(g.n)]
+    _assert_matches_reference(g.n, adj)
+
+
+def test_every_multigraph_on_four_vertices_matches_the_reference():
+    # every labeled multigraph with multiplicities <= 3, so every class
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mults in itertools.product(range(4), repeat=len(pairs)):
+            _assert_matches_reference(n, _raw(n, dict(zip(pairs, mults))))
+
+
+def test_pinned_keys():
+    # computed by the full search before automorphism pruning existed
+    k5x3 = from_edge_list(5, list(itertools.combinations(range(5), 2)) * 3)
+    assert canonical_key(complete_graph(4)).hex() == "0400000000010101010101"
+    assert canonical_key(from_edge_list(10, PETERSEN)).hex() == (
+        "0a00000000000000000000010101000000000000000001010000000000000001"
+        "010000000000000101000100010000010001000001010000"
+    )
+    assert canonical_key(k5x3).hex() == "05000000000003030303030303030303"
+    assert len(automorphisms(from_edge_list(10, PETERSEN))) == 120
+    assert len(automorphisms(k5x3)) == 120
+
+
+@pytest.mark.parametrize("n, order", [(8, 40320), (9, 362880)])
+def test_large_complete_graphs(n, order):
+    # every labeling of K_n serializes the same way
+    g = complete_graph(n)
+    assert canonical_key(g) == bytes([n]) + bytes(n) + bytes([1]) * (n * (n - 1) // 2)
+    auts = automorphisms(g)
+    assert len(auts) == len(set(auts)) == order
+
+
+def test_large_values_are_escaped():
+    # a value x from 255 up is x // 255 bytes 255, then the byte x % 255
+    def triangle(t):
+        return from_edge_list(3, [(0, 1)] * t + [(1, 2), (0, 2)])
+
+    assert canonical_key(triangle(254)).hex() == "030000000101fe"
+    assert canonical_key(triangle(300)).hex() == "030000000101ff2d"
+    keys = {canonical_key(triangle(t)) for t in (254, 255, 256, 300, 301)}
+    assert len(keys) == 5
+    assert canonical_key(relabel(triangle(300), [2, 0, 1])) == canonical_key(triangle(300))
+    assert canonical_key(path_graph(300))[:2] == bytes([255, 45])
+    assert canonical_key(triangle(600))[4:] == bytes([1, 1, 255, 255, 90])
+    assert count_forests(triangle(300), MemoCache()) == 3 * 300 + 4

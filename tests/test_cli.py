@@ -138,6 +138,14 @@ def test_verify_store_then_resume(cli, tmp_path):
     assert "checked 0  skipped 15" in out
 
 
+def test_verify_resume_reports_stored_violations(cli, tmp_path):
+    store = str(tmp_path / "t1.jsonl")
+    assert cli("verify", "--theorem", "1", "--max-n", "6", "--store", store)[0] == 0
+    rc, out, _ = cli("verify", "--theorem", "1", "--max-n", "7", "--store", store, "--resume")
+    assert rc == 0
+    assert "violations 1: K4 (n=4)" in out
+
+
 def test_verify_exit_one_on_unexpected_violation(cli, monkeypatch):
     degree_set, family, bound_fn, _ = THEOREMS["T1"]
     monkeypatch.setitem(THEOREMS, "T1", (degree_set, family, bound_fn, ()))
@@ -274,6 +282,23 @@ def test_catalog_unknown_name(cli):
     rc, _, err = cli("catalog", "--name", "K7")
     assert rc == 2
     assert "unknown catalog graph" in err
+
+
+def test_count_with_a_bundle_of_300(cli):
+    # multiplicities past one byte are escaped in canonical keys
+    edges = ["0 1"] * 300 + ["1 2", "0 2"]
+    rc, out, err = cli("count", stdin="3 302\n" + "\n".join(edges) + "\n")
+    assert (rc, out, err) == (0, "904\n", "")
+
+
+def test_huge_vertex_count_is_refused_before_allocation(cli, monkeypatch):
+    def never(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("forestry.formats.from_edge_list", never)
+    rc, out, err = cli("count", stdin="1000000000 0\n")
+    assert rc == 2 and out == ""
+    assert "limit" in err
 
 
 def test_input_conflicts(cli, tmp_path):

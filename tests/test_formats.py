@@ -3,8 +3,9 @@ import random
 import pytest
 
 from forestry import from_edge_list
-from forestry.errors import LoopRejected, NotSimple, VertexOutOfRange
+from forestry.errors import LoopRejected, NotSimple, TooLarge, VertexOutOfRange
 from forestry.formats import (
+    MAX_VERTICES,
     format_edge_list,
     format_graph6,
     parse_edge_list,
@@ -121,6 +122,14 @@ def test_graph6_large_n_header():
     s = format_graph6(g)
     assert s[0] == chr(126)
     assert parse_graph6(s) == g
+
+
+def test_vertex_limit():
+    assert parse_edge_list(f"{MAX_VERTICES} 0").n == MAX_VERTICES
+    with pytest.raises(TooLarge):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0")
+    with pytest.raises(TooLarge):
+        parse_graph6("~~~~~~~~")  # the 36-bit form's largest vertex count
 
 
 def test_autodetect():

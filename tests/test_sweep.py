@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -78,28 +79,51 @@ def test_resume_skips_what_is_already_stored(tmp_path):
     assert third.skipped == 8
 
 
+def test_resume_keeps_stored_outcomes(tmp_path):
+    store = tmp_path / "t1.jsonl"
+    sweep_theorem("T1", 6, store=store)
+    summary = sweep_theorem("T1", 7, store=store, resume=True)
+    assert summary.skipped == 19
+    assert summary.violations == ((4, key_of("K4")),)
+    assert (4, key_of("K4-e")) in summary.equalities
+
+
+def test_resume_raises_on_a_stored_unexpected_violation(tmp_path):
+    store = tmp_path / "t1.jsonl"
+    sweep_theorem("T1", 4, store=store)
+    records = [parse_record(line) for line in store.read_text().splitlines()]
+    lines = [
+        record_line(replace(r, verdict="LT")) if r.key == key_of("K4-e") else record_line(r)
+        for r in records
+    ]
+    store.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ViolationFound) as err:
+        sweep_theorem("T1", 4, store=store, resume=True)
+    assert err.value.keys == (key_of("K4-e"),)
+
+
 def test_resume_is_scoped_by_family(tmp_path):
     store = tmp_path / "mixed.jsonl"
     sweep_theorem("T1", 3, store=store)
     # the triangle is in both families; a T2 resume must not skip it
     summary = sweep_theorem("T2", 3, store=store, resume=True)
     assert summary.checked == 1
-    assert run_store_resume(store) == {key_of("K3")}
-    assert run_store_resume(store, family="2345") == set()
+    assert set(run_store_resume(store)) == {key_of("K3")}
+    assert run_store_resume(store, family="2345") == {}
 
 
 def test_append_then_resume(tmp_path):
     store = tmp_path / "runs.jsonl"
     record = make_record()
     run_store_append(store, record)
-    assert run_store_resume(store) == {record.key}
+    assert run_store_resume(store) == {record.key: record}
 
 
 def test_resume_on_empty_or_missing_store(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert run_store_resume(empty) == set()
-    assert run_store_resume(tmp_path / "never-written.jsonl") == set()
+    assert run_store_resume(empty) == {}
+    assert run_store_resume(tmp_path / "never-written.jsonl") == {}
 
 
 def test_corrupt_lines_are_skipped_with_a_warning(tmp_path, caplog):
@@ -112,7 +136,7 @@ def test_corrupt_lines_are_skipped_with_a_warning(tmp_path, caplog):
     store.write_text("\n".join(lines) + "\n")
     with caplog.at_level("WARNING", logger="forestry.sweep"):
         done = run_store_resume(store)
-    assert done == {bytes([i]) for i in range(10)}
+    assert set(done) == {bytes([i]) for i in range(10)}
     assert len(caplog.records) == 1
     assert "line 6" in caplog.text
 
