@@ -22,7 +22,7 @@ from itertools import groupby
 def _refine(adj, loops, cells, touched):
     """Refine an ordered partition until stable; the first pass re-signs touched cells."""
     colors = [0] * len(adj)
-    while len(cells) < len(adj):
+    while touched and len(cells) < len(adj):
         for i, cell in enumerate(cells):
             for v in cell:
                 colors[v] = i
@@ -51,12 +51,17 @@ def _serialize(n, adj, loops, order):
 
 
 def _orbit(points, gens, fixed):
-    """The points' orbit under the gens fixing fixed, as {y: (g, x) with g[x] == y, or None}."""
-    gens = [g for g in gens if all(g[u] == u for u in fixed)]
+    """The points' orbit under the gens fixing fixed, as {y: (g, x) where g maps x to y, or None}."""
+    fixed = set(fixed)
+    moving = {}  # point -> the gens that move it
+    for g in gens:
+        if g.keys().isdisjoint(fixed):
+            for x in g:
+                moving.setdefault(x, []).append(g)
     tree = dict.fromkeys(points)
     queue = list(points)
     for x in queue:
-        for g in gens:
+        for g in moving.get(x, ()):
             if g[x] not in tree:
                 tree[g[x]] = (g, x)
                 queue.append(g[x])
@@ -67,22 +72,27 @@ def _search(n, adj, loops):
     """The least serialization, automorphism generators and the best leaf's path."""
     loops = loops or [0] * n
     best = best_order = best_path = None
-    gens = []  # automorphisms as {v: image} maps
+    gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
     cells = _refine(adj, loops, [list(range(n))] if n else [], range(n))
+    t = 0  # the cells before the parent's target cell are singletons
     while True:
         if len(cells) < n:
-            nodes.append((cells, next(i for i, c in enumerate(cells) if len(c) > 1), []))
+            nodes.append((cells, next(i for i in range(t, n) if len(cells[i]) > 1), []))
         else:
             order = [c[0] for c in cells]
-            s = _serialize(n, adj, loops, order)
-            if best is None or s < best:
-                best, best_order, best_path = s, order, path[:]
-            elif s == best:
-                gens.append(dict(zip(best_order, order)))
+            sigma = best and dict(zip(best_order, order))
+            if sigma and all(loops[sigma[v]] == loops[v] and adj[sigma[v]] == {
+                    sigma[w]: m for w, m in adj[v].items()} for v in sigma):
+                # an automorphism: this leaf serializes to the best one
+                gens.append({v: x for v, x in sigma.items() if v != x})
                 parted = next(d for d, (a, b) in enumerate(zip(path, best_path)) if a != b)
                 del nodes[parted + 1 :]
+            else:
+                s = _serialize(n, adj, loops, order)
+                if best is None or s < best:
+                    best, best_order, best_path = s, order, path[:]
         while nodes:
             depth = len(nodes) - 1
             cells, t, explored = nodes[-1]
@@ -114,6 +124,6 @@ def automorphisms(n, adj, loops=None):
     for depth in reversed(range(len(path))):
         reps = {}
         for y, step in _orbit([path[depth]], gens, path[:depth]).items():
-            reps[y] = ident if step is None else tuple(map(step[0].__getitem__, reps[step[1]]))
+            reps[y] = ident if step is None else tuple([step[0].get(x, x) for x in reps[step[1]]])
         group = [tuple(map(r.__getitem__, h)) for r in reps.values() for h in group]
     return group

@@ -48,7 +48,6 @@ class RunConfig:
     catalog_name: object
     output: str
     brute_cap: int
-    memo_cap: object  # None defers to FORESTRY_CACHE_CAP / the default
     max_n: object
     threads: int
     store: object
@@ -62,14 +61,12 @@ class RunConfig:
             catalog_name=getattr(ns, "catalog", None),
             output=ns.output,
             brute_cap=getattr(ns, "brute_cap", 24),
-            memo_cap=ns.memo_cap,
             max_n=getattr(ns, "max_n", None),
             threads=threads,
             store=getattr(ns, "store", None),
         )
         for label, cap in (
             ("--brute-cap", cfg.brute_cap),
-            ("--memo-cap", cfg.memo_cap),
             ("--max-n", cfg.max_n),
             ("--threads", cfg.threads),
         ):
@@ -118,7 +115,7 @@ def _count_payload(g, cache):
 
 
 def _cmd_count(cfg, ns):
-    cache = MemoCache(max_vertices=cfg.memo_cap)
+    cache = MemoCache()
     g = _load_graph(cfg)
     forests = count_forests(g, cache)
     if ns.cross_check:
@@ -137,7 +134,7 @@ def _cmd_count(cfg, ns):
 
 
 def _cmd_trees(cfg, ns):
-    cache = MemoCache(max_vertices=cfg.memo_cap)
+    cache = MemoCache()
     g = _load_graph(cfg)
     trees = count_trees(g, cache)
     if cfg.output == "json":
@@ -148,7 +145,7 @@ def _cmd_trees(cfg, ns):
 
 
 def _cmd_bound(cfg, ns):
-    cache = MemoCache(max_vertices=cfg.memo_cap)
+    cache = MemoCache()
     g = _load_graph(cfg)
     which = ns.which
     if which == "auto":
@@ -202,7 +199,7 @@ def _cmd_verify(cfg, ns):
     n_max = cfg.max_n
     if n_max is None:
         n_max = DEFAULT_FAMILY_CAPS[frozenset(degree_set)]
-    cache = MemoCache(max_vertices=cfg.memo_cap)
+    cache = MemoCache()
     summary = sweep_theorem(
         theorem,
         n_max,
@@ -267,7 +264,7 @@ def _radical_text(rb):
 
 
 def _cmd_constants(cfg, ns):
-    cache = MemoCache(max_vertices=cfg.memo_cap)
+    cache = MemoCache()
     if ns.fd is not None:
         rb = upper_bound_fd(ns.fd, cache=cache)
         if cfg.output == "json":
@@ -389,7 +386,7 @@ def _table2_payload(report):
 
 
 def _cmd_ratio(cfg, ns):
-    cache = MemoCache(max_vertices=cfg.memo_cap)
+    cache = MemoCache()
     suites = _ratio_suites()
     chosen = list(suites) + ["table2"] if ns.suite == "all" else [ns.suite]
     payloads = []
@@ -431,7 +428,7 @@ def _cmd_catalog(cfg, ns):
     if ns.name is not None:
         entries = [_resolve_catalog(ns.name)]
     if cfg.output == "json":
-        cache = MemoCache(max_vertices=cfg.memo_cap)
+        cache = MemoCache()
         out = []
         for e in entries:
             obj = {
@@ -457,7 +454,7 @@ def _cmd_catalog(cfg, ns):
         return 0
     if ns.name is not None:
         e = entries[0]
-        cache = MemoCache(max_vertices=cfg.memo_cap)
+        cache = MemoCache()
         print(f"name {e.name}")
         print(f"summary {e.summary}")
         print(f"vertices {e.graph.n}")
@@ -497,14 +494,6 @@ def build_parser():
         choices=("text", "json"),
         default="text",
         help="output mode (default: text)",
-    )
-    common.add_argument(
-        "--memo-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="memoize subgraphs with at most N vertices"
-        " (default: FORESTRY_CACHE_CAP or 16)",
     )
     common.add_argument(
         "--threads",

@@ -1,57 +1,39 @@
-"""Spanning-forest and spanning-tree counts via deletion-contraction.
+"""Exact spanning-forest and spanning-tree counts, without recursion.
 
-count_forests and count_trees share one recursion.  Cheap reductions run
-to a fixpoint before every branch: pendant vertices come off (a pendant
-edge is in or out of a forest freely, and is forced into a spanning
-tree), bridges are contracted, cut vertices split the count into a
-product over blocks.  Branching always happens on a whole parallel
-bundle, F(G) = F(G - bundle) + t * F(G/uv), choosing the bundle with
-maximum multiplicity, then maximum degree sum, then lexicographically
-least pair.  Branch-point graphs small enough to canonicalise cheaply
-are memoized by canonical key.
+count_forests is a frontier dynamic program over a vertex order (Sekine,
+Imai & Tani, ISAAC 1995; Kawahara et al., IEICE Trans. E100-A, 2017).
+The frontier holds the entered vertices that still have a neighbour to
+come.  A state, a partition of the frontier into the trees of a partial
+forest as block labels in order of first appearance, maps to the number
+of forests on the edges seen so far that induce it.  A bundle of
+multiplicity t is one edge of weight t: a forest takes at most one copy,
+and only to join two blocks.  A vertex leaves the frontier with its last
+edge; the count is the sum of the final weights, so disconnected input
+needs no special case.  The cost grows with the Bell number of the
+widest frontier, which the greedy vertex order keeps small.
+
+count_trees is the fraction-free (Bareiss) determinant of the reduced
+Laplacian, eliminating in the reverse of the same order so that fill-in
+stays between vertices of one frontier.
 """
 
 from __future__ import annotations
 
-import os
-
-from .errors import TooLarge, VertexOutOfRange
-from .multigraph import (
-    _bridges_and_cuts,
-    canonical_key,
-    components,
-    contract_edge,
-    contract_set,
-    delete_bundle,
-    delete_vertex,
-    induced,
-)
+from .errors import EdgeAbsent, InvalidPartition, LoopRejected, TooLarge, VertexOutOfRange
+from .multigraph import _build, _identify, contract_set, is_connected
 
 FORESTS = "F"
 TREES = "T"
 
-DEFAULT_MEMO_VERTEX_CAP = 16
-
-
-def _memo_vertex_cap():
-    raw = os.environ.get("FORESTRY_CACHE_CAP")
-    if raw is None:
-        return DEFAULT_MEMO_VERTEX_CAP
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MEMO_VERTEX_CAP
-
 
 class MemoCache:
-    """Canonical-key -> count table with separate forest/tree namespaces.
+    """Whole-input count table keyed by kind and (n, the graph's bundles).
 
     Entries never change once inserted; inserting a different value for
     an existing key raises, which would mean a counting bug upstream.
     """
 
-    def __init__(self, max_vertices=None, max_entries=None):
-        self.max_vertices = _memo_vertex_cap() if max_vertices is None else max_vertices
+    def __init__(self, max_entries=None):
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -82,103 +64,147 @@ class MemoCache:
 
 def count_forests(g, cache=None):
     """Number of spanning forests of g (exact integer)."""
-    return _count(g, cache, FORESTS)
+    return _cached(cache, FORESTS, g, _forests)
 
 
 def count_trees(g, cache=None):
     """Number of spanning trees of g; 0 when g is disconnected."""
-    return _count(g, cache, TREES)
+    return _cached(cache, TREES, g, _trees)
 
 
-def _count(g, cache, kind):
-    comps = components(g)
-    if len(comps) == 1:
-        return _connected(g, cache, kind)
-    if kind == TREES:
+def _cached(cache, kind, g, count):
+    if cache is None:
+        return count(g)
+    key = (g.n, tuple(g.bundles()))
+    got = cache.lookup(kind, key)
+    if got is None:
+        got = count(g)
+        cache.insert(kind, key, got)
+    return got
+
+
+def _vertex_order(adj):
+    """Each next vertex is a neighbour of the frontier that leaves it smallest.
+
+    With an empty frontier the next component starts at a vertex of
+    least degree.  Ties go to fewer unentered neighbours, then the
+    lower id.
+    """
+    n = len(adj)
+    waiting = [len(a) for a in adj]  # neighbours not yet entered
+    entered = [False] * n
+    starts = iter(sorted(range(n), key=lambda v: (len(adj[v]), v)))
+    candidates = set()
+    order = []
+
+    def cost(v):
+        leaving = sum(1 for u in adj[v] if entered[u] and waiting[u] == 1)
+        return ((waiting[v] > 0) - leaving, waiting[v], v)
+
+    while len(order) < n:
+        if candidates:
+            v = min(candidates, key=cost)
+            candidates.discard(v)
+        else:
+            v = next(s for s in starts if not entered[s])
+        entered[v] = True
+        order.append(v)
+        for w in adj[v]:
+            waiting[w] -= 1
+            if not entered[w]:
+                candidates.add(w)
+    return order
+
+
+def _forests(g):
+    adj = g._adj
+    order = _vertex_order(adj)
+    rank = {v: i for i, v in enumerate(order)}
+    last = [max([rank[v]] + [rank[w] for w in adj[v]]) for v in range(g.n)]
+    frontier = []
+    states = {(): 1}
+    for i, v in enumerate(order):
+        frontier.append(v)
+        states = {s + (max(s) + 1 if s else 0,): c for s, c in states.items()}
+        # edges whose earlier end leaves with them go first: the table shrinks sooner
+        for u in sorted((u for u in adj[v] if rank[u] < i), key=lambda u: (last[u] != i, rank[u])):
+            leaves = last[u] == i
+            p = frontier.index(u)
+            states = _join(states, p, frontier.index(v), adj[v][u], leaves)
+            if leaves:
+                del frontier[p]
+        if last[v] == i:  # v leaves too: an edge from v to itself joins no blocks
+            states = _join(states, len(frontier) - 1, len(frontier) - 1, 0, True)
+            frontier.pop()
+    return sum(states.values())
+
+
+def _relabel(s):
+    """Block labels renumbered in order of first appearance."""
+    labels = {}
+    return tuple([labels.setdefault(x, len(labels)) for x in s])
+
+
+def _join(states, p, q, t, leaves):
+    """Take the weight-t edge between frontier positions p and q, or not.
+
+    With leaves set, position p leaves the frontier afterwards.
+    """
+    out = {}
+    for s, c in states.items():
+        a, b = s[p], s[q]
+        if a != b:
+            lo, hi = (a, b) if a < b else (b, a)
+            m = tuple([lo if x == hi else x - (x > hi) for x in s])
+            if leaves:
+                m = _relabel(m[:p] + m[p + 1 :])
+            out[m] = out.get(m, 0) + c * t
+        if leaves:
+            s = _relabel(s[:p] + s[p + 1 :])
+        out[s] = out.get(s, 0) + c
+    return out
+
+
+def _trees(g):
+    if g.n == 0 or not is_connected(g):
         return 0
-    total = 1
-    for comp in comps:
-        total *= _connected(induced(g, comp), cache, kind)
-    return total
+    adj = g._adj
+    # eliminating in reverse keeps fill-in inside the frontiers; the
+    # reduced Laplacian drops the first vertex
+    order = _vertex_order(adj)[:0:-1]
+    pos = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        row = {pos[w]: -t for w, t in adj[v].items() if w in pos}
+        row[pos[v]] = sum(adj[v].values())
+        rows.append(row)
+    # The matrix is symmetric positive definite, so no pivot is zero and
+    # the rows that step k must eliminate are the columns of row k.  Any
+    # other row would only be scaled by pivots[k + 1] / pivots[k]; it is
+    # scaled when next used instead, and level[i] is the step it is at.
+    pivots = [1]
+    level = [0] * len(rows)
 
+    def bring(i, k):
+        if level[i] != k:
+            num, den = pivots[k], pivots[level[i]]
+            rows[i] = {j: x * num // den for j, x in rows[i].items()}
+            level[i] = k
 
-def _connected(g, cache, kind):
-    factor = 1
-    while True:
-        if g.m == 0:
-            return factor
-        pend = None
-        for v in range(g.n):
-            if g.degree(v) == 1:
-                pend = v
-                break
-        if pend is not None:
-            if kind == FORESTS:
-                factor *= 2
-            g = delete_vertex(g, pend)
-            continue
-        u, v, t = _branch_pair(g)
-        if t == 1:
-            br, cuts = _bridges_and_cuts(g)
-            if br:
-                bu, bv = min(br)
-                if kind == FORESTS:
-                    factor *= 2
-                g = contract_edge(g, bu, bv)
-                continue
-            if cuts:
-                c = min(cuts)
-                for block in _blocks(g, c):
-                    factor *= _connected(block, cache, kind)
-                return factor
-        return factor * _branch(g, u, v, t, cache, kind)
-
-
-def _branch_pair(g):
-    best = None
-    for u, v, t in g.bundles():
-        if best is None:
-            best = (u, v, t, g.degree(u) + g.degree(v))
-            continue
-        ds = g.degree(u) + g.degree(v)
-        bu, bv, bt, bds = best
-        if t > bt or (t == bt and (ds > bds or (ds == bds and (u, v) < (bu, bv)))):
-            best = (u, v, t, ds)
-    return best[0], best[1], best[2]
-
-
-def _blocks(g, c):
-    seen = [False] * g.n
-    seen[c] = True
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g._adj[v]:
-                if not seen[w] and w != c:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        yield induced(g, comp + [c])
-
-
-def _branch(g, u, v, t, cache, kind):
-    key = None
-    if cache is not None and g.n <= cache.max_vertices:
-        key = canonical_key(g)
-        got = cache.lookup(kind, key)
-        if got is not None:
-            return got
-    result = _count(delete_bundle(g, u, v), cache, kind) + t * _count(
-        contract_edge(g, u, v), cache, kind
-    )
-    if key is not None:
-        cache.insert(kind, key, result)
-    return result
+    for k in range(len(rows)):
+        bring(k, k)
+        row = rows[k]
+        p = row.pop(k)
+        prev = pivots[k]
+        for i in row:
+            bring(i, k)
+            r = rows[i]
+            a = r.pop(k)
+            for j in row.keys() | r.keys():
+                r[j] = (r.get(j, 0) * p - a * row.get(j, 0)) // prev
+            level[i] = k + 1
+        pivots.append(p)
+    return pivots[-1]
 
 
 def count_forests_bruteforce(g, cap=24):
@@ -234,8 +260,6 @@ def extension_count(g, gadget_edges, partition, cache=None):
     outside the gadget (its attachment vertices); blocks over further
     gadget vertices are allowed, since any host could attach there.
     """
-    from .errors import EdgeAbsent, InvalidPartition, LoopRejected
-
     gadget = {}
     for u, v in gadget_edges:
         if u == v:
@@ -268,21 +292,5 @@ def extension_count(g, gadget_edges, partition, cache=None):
     for w in sorted(gverts):
         if g.degree(w) > gadget_deg[w] and w not in covered:
             raise InvalidPartition(f"attachment vertex {w} is not in any block")
-
-    # identify each block directly while relabeling the gadget
-    rep = {}
-    for b in blocks:
-        for x in b:
-            rep[x] = b[0]
-    order = sorted({rep.get(w, w) for w in gverts})
-    idx = {w: i for i, w in enumerate(order)}
-    from .multigraph import _build
-
-    mults = {}
-    for (u, v), t in gadget.items():
-        a, b = idx[rep.get(u, u)], idx[rep.get(v, v)]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        mults[key] = mults.get(key, 0) + t
-    return count_forests(_build(len(order), mults), cache)
+    # the vertices of g outside the gadget stay isolated: a factor of 1
+    return count_forests(_identify(_build(g.n, gadget), blocks), cache)

@@ -177,7 +177,7 @@ def contract_edge(g, u, v):
     """
     if g.multiplicity(u, v) == 0:
         raise EdgeAbsent(f"no edge between {u} and {v} to contract")
-    return _identify(g, (u, v))
+    return _identify(g, [(u, v)])
 
 
 def contract_set(g, vset):
@@ -195,33 +195,33 @@ def contract_set(g, vset):
         g._check(v)
     if len(vs) == 1:
         return g
-    return _identify(g, vs)
+    return _identify(g, [vs])
 
 
-def _identify(g, vs):
-    vs = sorted(set(vs))
-    target = vs[0]
-    removed = vs[1:]
-    # new id of an untouched vertex = old id minus removed ids below it
-    newid = {}
-    drop = set(removed)
+def _identify(g, groups):
+    """Merge each of the disjoint vertex groups into its least member.
+
+    Edges inside a group are dropped; ids of the removed vertices are
+    closed up, preserving the order of the survivors.
+    """
+    rep = list(range(g.n))
+    for vs in groups:
+        lo = min(vs)
+        for v in vs:
+            rep[v] = lo
+    newid = []
     nid = 0
     for v in range(g.n):
-        if v in drop:
-            continue
-        newid[v] = nid
-        nid += 1
-    group = set(vs)
-    tgt = newid[target]
+        newid.append(nid)
+        nid += rep[v] == v
     mults = {}
     for a, b, t in g.bundles():
-        a2 = tgt if a in group else newid[a]
-        b2 = tgt if b in group else newid[b]
+        a2, b2 = newid[rep[a]], newid[rep[b]]
         if a2 == b2:
             continue
         key = (a2, b2) if a2 < b2 else (b2, a2)
         mults[key] = mults.get(key, 0) + t
-    return _build(g.n - len(removed), mults)
+    return _build(nid, mults)
 
 
 def components(g):

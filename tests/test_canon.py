@@ -17,6 +17,8 @@ from forestry import (
 from forestry import canon
 
 from oracles import (
+    _reference_first_cell,
+    _reference_refine,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -161,6 +163,27 @@ def test_sparse_multigraphs_match_the_reference_search(seed):
     _assert_matches_reference(g.n, adj)
 
 
+def test_regular_graphs_match_the_reference_search():
+    # refinement cannot split a regular graph, so the search reaches leaves
+    # that are not images of the best one under any automorphism; the
+    # Frucht graph has none but the identity
+    frucht = [(i, (i + 1) % 12) for i in range(12)]
+    for i, jump in enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]):
+        if jump > 0:
+            frucht.append((i, (i + jump) % 12))
+    rng = random.Random(5)
+    graphs = [from_edge_list(12, frucht), from_edge_list(10, PETERSEN)]
+    while len(graphs) < 5:
+        stubs = [v for v in range(10) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 30, 2)}
+        if len(pairs) == 15 and all(u != v for u, v in pairs):
+            graphs.append(from_edge_list(10, pairs))
+    for g in graphs:
+        adj = [{w: g.multiplicity(v, w) for w in g.neighbors(v)} for v in range(g.n)]
+        _assert_matches_reference(g.n, adj)
+
+
 def test_every_multigraph_on_four_vertices_matches_the_reference():
     # every labeled multigraph with multiplicities <= 3, so every class
     for n in range(5):
@@ -189,6 +212,31 @@ def test_large_complete_graphs(n, order):
     assert canonical_key(g) == bytes([n]) + bytes(n) + bytes([1]) * (n * (n - 1) // 2)
     auts = automorphisms(g)
     assert len(auts) == len(set(auts)) == order
+
+
+def test_edgeless_400_key():
+    # each leaf after the first is checked as an automorphism on the
+    # edges, not serialized: about 2n leaves of n^2 / 2 bytes otherwise
+    assert canonical_key(MultiGraph(400)) == b"\xff\x91" + bytes(400 + 400 * 399 // 2)
+
+
+def test_400_cycle_key_matches_the_reference_leaf():
+    # the full reference search individualizes a vertex, then one vertex
+    # of a mirror pair; its 800 leaves are the images of one leaf under
+    # the 800 automorphisms, so one leaf's serialization is the reference
+    # key, written here with the escape encoding past 255
+    n = 400
+    g = cycle_graph(n)
+    nbrs = [list(g._adj[v].items()) for v in range(n)]
+    colors = _reference_refine(n, nbrs, [0] * n, [0] * n)
+    while (cell := _reference_first_cell(n, colors)) is not None:
+        colors = [2 * c for c in colors]
+        colors[cell[0]] -= 1
+        colors = _reference_refine(n, nbrs, [0] * n, colors)
+    order = sorted(range(n), key=colors.__getitem__)
+    vals = [n] + [0] * n
+    vals += [g.multiplicity(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    assert canonical_key(g) == b"".join(b"\xff" * (x // 255) + bytes([x % 255]) for x in vals)
 
 
 def test_large_values_are_escaped():

@@ -18,7 +18,6 @@ from forestry import (
     extension_count,
     from_edge_list,
 )
-from forestry.counting import DEFAULT_MEMO_VERTEX_CAP
 from forestry.errors import (
     EdgeAbsent,
     InvalidPartition,
@@ -63,6 +62,18 @@ def test_cycles():
         c = cycle_graph(n)
         assert count_forests(c) == 2**n - 1
         assert count_trees(c) == n
+
+
+def test_a_400_cycle_counts_without_recursion():
+    # every proper edge subset is a forest; a recursion would nest 400 deep
+    c = cycle_graph(400)
+    assert count_forests(c) == 2**400 - 1
+    assert count_trees(c) == 400
+    cache = MemoCache()
+    assert count_forests(c, cache) == 2**400 - 1
+    assert count_trees(c, cache) == 400
+    assert count_forests(c, cache) == 2**400 - 1
+    assert (cache.hits, cache.misses, len(cache)) == (1, 2, 2)
 
 
 def test_trees_have_power_of_two_forests():
@@ -328,23 +339,38 @@ def test_cache_entry_cap():
     assert cache.lookup("F", b"b") is None
 
 
-def test_cache_vertex_cap_env(monkeypatch):
-    monkeypatch.setenv("FORESTRY_CACHE_CAP", "5")
-    assert MemoCache().max_vertices == 5
-    monkeypatch.setenv("FORESTRY_CACHE_CAP", "not a number")
-    assert MemoCache().max_vertices == DEFAULT_MEMO_VERTEX_CAP
-    monkeypatch.delenv("FORESTRY_CACHE_CAP")
-    assert MemoCache().max_vertices == DEFAULT_MEMO_VERTEX_CAP
-    assert MemoCache(max_vertices=3).max_vertices == 3
-
-
-def test_zero_cap_cache_still_counts_correctly():
-    cache = MemoCache(max_vertices=0)
-    assert count_forests(complete_graph(5), cache) == 291
-    assert len(cache) == 0
-
-
 # -- properties ----------------------------------------------------------
+
+
+@st.composite
+def multigraphs(draw):
+    """Side-by-side parts of 1-4 vertices, bundles up to 4 copies, <= 12 edges.
+
+    Single-vertex parts are isolated vertices, and most draws have
+    several components.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    pairs = []
+    for k, base in zip(sizes, itertools.accumulate([0] + sizes)):
+        pairs += itertools.combinations(range(base, base + k), 2)
+    edges = []
+    if pairs:
+        bundles = st.dictionaries(st.sampled_from(pairs), st.integers(1, 4), max_size=6)
+        for pair, t in draw(bundles).items():
+            edges += [pair] * min(t, 12 - len(edges))
+    return from_edge_list(sum(sizes), edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_forests_match_both_oracles(g):
+    assert count_forests(g) == count_forests_bruteforce(g) == forests_by_subsets(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_trees_match_the_subset_oracle(g):
+    assert count_trees(g) == trees_by_subsets(g)
 
 
 @settings(max_examples=50, deadline=None)
