@@ -44,12 +44,10 @@ from .sweep import SweepRecord, SweepSummary, run_store_append, run_store_resume
 from .multigraph import (
     MultiGraph,
     automorphisms,
-    bridges,
     canonical_key,
     components,
     contract_edge,
     contract_set,
-    cut_vertices,
     degree_counts,
     delete_bundle,
     delete_edge,
@@ -63,7 +61,6 @@ from .multigraph import (
 __all__ = [
     "automorphisms",
     "BoundExpr",
-    "bridges",
     "canonical_key",
     "catalog",
     "catalog_entry",
@@ -77,7 +74,6 @@ __all__ = [
     "count_forests_bruteforce",
     "count_forests_separating",
     "count_trees",
-    "cut_vertices",
     "degree_counts",
     "delete_bundle",
     "delete_edge",

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .multigraph import (
     MultiGraph,
-    bridges,
     contract_edge,
     degree_counts,
     delete_edge,
@@ -200,9 +199,9 @@ def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP, cache=None):
     """
     if not is_connected(g):
         raise Disconnected("the ring construction needs a connected seed")
-    if (min(u, v), max(u, v)) in bridges(g):
-        raise BridgeEdge(f"edge {u}-{v} is a bridge, the broken ring would fall apart")
     cut = delete_edge(g, u, v)  # raises EdgeAbsent when uv is missing
+    if not is_connected(cut):
+        raise BridgeEdge(f"edge {u}-{v} is a bridge, the broken ring would fall apart")
     a_value = count_forests(cut, cache)
     b_value = a_value - count_forests(contract_edge(g, u, v), cache)
     if not a_value > b_value >= 0:

@@ -1,10 +1,9 @@
 """Canonical labeling via colour refinement and individualisation.
 
-Works on bare adjacency (neighbour -> multiplicity dicts, plus optional
-per-vertex loop counts) so generators can key multigraphs with loops.
-The key is the least serialization (n, the loop counts, the upper
-triangle of the multiplicity matrix; a value x from 255 up is x // 255
-bytes 255, then the byte x % 255) over the leaves of the search tree.
+Works on bare adjacency (neighbour -> multiplicity dicts).  The key is
+the least serialization (n, n zero bytes, the upper triangle of the
+multiplicity matrix; a value x from 255 up is x // 255 bytes 255, then
+the byte x % 255) over the leaves of the search tree.
 Refinement makes synchronous passes over an ordered partition whose
 colours are cell positions.  Past the root's first pass, a pass re-signs
 only cells next to the individualized vertex or to a part, other than a
@@ -19,7 +18,7 @@ rule loses a serialization; the automorphisms found generate the group.
 from itertools import groupby
 
 
-def _refine(adj, loops, cells, touched):
+def _refine(adj, cells, touched):
     """Refine an ordered partition until stable; the first pass re-signs touched cells."""
     colors = [0] * len(adj)
     while touched and len(cells) < len(adj):
@@ -28,7 +27,7 @@ def _refine(adj, loops, cells, touched):
                 colors[v] = i
         split = {}
         for i in {colors[v] for v in touched if len(cells[colors[v]]) > 1}:
-            sig = sorted([((loops[v], sorted([(colors[w], t) for w, t in adj[v].items()])), v)
+            sig = sorted([(sorted([(colors[w], t) for w, t in adj[v].items()]), v)
                           for v in cells[i]])
             if sig[0][0] != sig[-1][0]:
                 split[i] = [[x[1] for x in run] for _, run in groupby(sig, lambda x: x[0])]
@@ -40,8 +39,8 @@ def _refine(adj, loops, cells, touched):
     return cells
 
 
-def _serialize(n, adj, loops, order):
-    vals = [n] + [loops[v] for v in order]
+def _serialize(n, adj, order):
+    vals = [n] + [0] * n  # a loop count per vertex in stored keys, always 0 here
     for i, v in enumerate(order):
         row = adj[v]
         vals += [row.get(w, 0) for w in order[i + 1 :]]
@@ -68,14 +67,13 @@ def _orbit(points, gens, fixed):
     return tree
 
 
-def _search(n, adj, loops):
+def _search(n, adj):
     """The least serialization, automorphism generators and the best leaf's path."""
-    loops = loops or [0] * n
     best = best_order = best_path = None
     gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
-    cells = _refine(adj, loops, [list(range(n))] if n else [], range(n))
+    cells = _refine(adj, [list(range(n))] if n else [], range(n))
     t = 0  # the cells before the parent's target cell are singletons
     while True:
         if len(cells) < n:
@@ -83,14 +81,14 @@ def _search(n, adj, loops):
         else:
             order = [c[0] for c in cells]
             sigma = best and dict(zip(best_order, order))
-            if sigma and all(loops[sigma[v]] == loops[v] and adj[sigma[v]] == {
-                    sigma[w]: m for w, m in adj[v].items()} for v in sigma):
+            if sigma and all(adj[sigma[v]] == {sigma[w]: m for w, m in adj[v].items()}
+                             for v in sigma):
                 # an automorphism: this leaf serializes to the best one
                 gens.append({v: x for v, x in sigma.items() if v != x})
                 parted = next(d for d, (a, b) in enumerate(zip(path, best_path)) if a != b)
                 del nodes[parted + 1 :]
             else:
-                s = _serialize(n, adj, loops, order)
+                s = _serialize(n, adj, order)
                 if best is None or s < best:
                     best, best_order, best_path = s, order, path[:]
         while nodes:
@@ -102,23 +100,23 @@ def _search(n, adj, loops):
                 explored.append(w)
                 path[depth:] = [w]
                 rest = [v for v in cells[t] if v != w]
-                cells = _refine(adj, loops, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w])
+                cells = _refine(adj, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w])
                 break
             nodes.pop()
         else:
             return best, gens, best_path
 
 
-def canonical_key(n, adj, loops=None):
-    return _search(n, adj, loops)[0]
+def canonical_key(n, adj):
+    return _search(n, adj)[0]
 
 
-def automorphisms(n, adj, loops=None):
+def automorphisms(n, adj):
     """The full automorphism group as vertex maps (tuples sigma with sigma[v]).
 
     Generators fixing the first i vertices of the best leaf's path generate
     their stabilizer: the group is a product of transversals along it."""
-    _, gens, path = _search(n, adj, loops)
+    _, gens, path = _search(n, adj)
     ident = tuple(range(n))
     group = [ident]
     for depth in reversed(range(len(path))):

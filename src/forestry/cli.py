@@ -9,7 +9,6 @@ cross-check disagreement), 2 usage or input errors.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -49,12 +48,10 @@ class RunConfig:
     output: str
     brute_cap: int
     max_n: object
-    threads: int
     store: object
 
     @classmethod
     def from_args(cls, ns):
-        threads = ns.threads if ns.threads is not None else os.cpu_count() or 1
         cfg = cls(
             subcommand=ns.subcommand,
             source=getattr(ns, "path", None),
@@ -62,13 +59,11 @@ class RunConfig:
             output=ns.output,
             brute_cap=getattr(ns, "brute_cap", 24),
             max_n=getattr(ns, "max_n", None),
-            threads=threads,
             store=getattr(ns, "store", None),
         )
         for label, cap in (
             ("--brute-cap", cfg.brute_cap),
             ("--max-n", cfg.max_n),
-            ("--threads", cfg.threads),
         ):
             if cap is not None and cap < 1:
                 raise ValueError(f"{label} must be positive, got {cap}")
@@ -494,14 +489,6 @@ def build_parser():
         choices=("text", "json"),
         default="text",
         help="output mode (default: text)",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker pool size; reserved, every subcommand currently"
-        " runs on one thread (default: available parallelism)",
     )
 
     graph_in = argparse.ArgumentParser(add_help=False)

@@ -19,11 +19,17 @@ stays between vertices of one frontier.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .errors import EdgeAbsent, InvalidPartition, LoopRejected, TooLarge, VertexOutOfRange
 from .multigraph import _build, _identify, contract_set, is_connected
 
 FORESTS = "F"
 TREES = "T"
+# count_forests gives up with TooLarge once its state table passes this
+# many frontier partitions.  A join at most doubles the table, so it never
+# holds more than twice as many.  K11 peaks at 115975 states, K12 at 678570.
+MAX_STATES = 2**18
 
 
 class MemoCache:
@@ -88,31 +94,42 @@ def _vertex_order(adj):
 
     With an empty frontier the next component starts at a vertex of
     least degree.  Ties go to fewer unentered neighbours, then the
-    lower id.
+    lower id.  The candidates sit in a heap that gets a fresh entry
+    whenever a cost changes.  A cost only falls, so a vertex's newest
+    entry comes up before its older ones, which are skipped as entered.
     """
     n = len(adj)
     waiting = [len(a) for a in adj]  # neighbours not yet entered
+    leaving = [0] * n  # entered neighbours whose last unentered neighbour this is
     entered = [False] * n
     starts = iter(sorted(range(n), key=lambda v: (len(adj[v]), v)))
-    candidates = set()
+    heap = []
     order = []
 
     def cost(v):
-        leaving = sum(1 for u in adj[v] if entered[u] and waiting[u] == 1)
-        return ((waiting[v] > 0) - leaving, waiting[v], v)
+        return ((waiting[v] > 0) - leaving[v], waiting[v], v)
+
+    def last_waiting(u):
+        # entered u has one unentered neighbour left, which takes u off the frontier
+        z = next(w for w in adj[u] if not entered[w])
+        leaving[z] += 1
+        return z
 
     while len(order) < n:
-        if candidates:
-            v = min(candidates, key=cost)
-            candidates.discard(v)
-        else:
-            v = next(s for s in starts if not entered[s])
+        while heap and entered[heap[0][2]]:
+            heappop(heap)
+        v = heappop(heap)[2] if heap else next(s for s in starts if not entered[s])
         entered[v] = True
         order.append(v)
+        fresh = [w for w in adj[v] if not entered[w]]
+        if waiting[v] == 1:
+            last_waiting(v)
         for w in adj[v]:
             waiting[w] -= 1
-            if not entered[w]:
-                candidates.add(w)
+            if entered[w] and waiting[w] == 1:
+                fresh.append(last_waiting(w))
+        for w in fresh:
+            heappush(heap, cost(w))
     return order
 
 
@@ -162,6 +179,8 @@ def _join(states, p, q, t, leaves):
         if leaves:
             s = _relabel(s[:p] + s[p + 1 :])
         out[s] = out.get(s, 0) + c
+    if len(out) > MAX_STATES:
+        raise TooLarge(f"over {MAX_STATES} frontier states: the graph is too dense to count")
     return out
 
 
@@ -173,36 +192,30 @@ def _trees(g):
     # reduced Laplacian drops the first vertex
     order = _vertex_order(adj)[:0:-1]
     pos = {v: i for i, v in enumerate(order)}
-    rows = []
+    rows = []  # an entry is (value, the step it is at)
     for v in order:
-        row = {pos[w]: -t for w, t in adj[v].items() if w in pos}
-        row[pos[v]] = sum(adj[v].values())
+        row = {pos[w]: (-t, 0) for w, t in adj[v].items() if w in pos}
+        row[pos[v]] = (sum(adj[v].values()), 0)
         rows.append(row)
     # The matrix is symmetric positive definite, so no pivot is zero and
-    # the rows that step k must eliminate are the columns of row k.  Any
-    # other row would only be scaled by pivots[k + 1] / pivots[k]; it is
-    # scaled when next used instead, and level[i] is the step it is at.
+    # the rows that step k must eliminate are the columns of row k.  An
+    # entry whose column row k lacks would only be scaled by
+    # pivots[k + 1] / pivots[k]; it is scaled when next read instead.
     pivots = [1]
-    level = [0] * len(rows)
 
-    def bring(i, k):
-        if level[i] != k:
-            num, den = pivots[k], pivots[level[i]]
-            rows[i] = {j: x * num // den for j, x in rows[i].items()}
-            level[i] = k
+    def at(entry, k):
+        x, level = entry
+        return x if level == k else x * pivots[k] // pivots[level]
 
     for k in range(len(rows)):
-        bring(k, k)
-        row = rows[k]
+        row = {j: at(e, k) for j, e in rows[k].items()}
         p = row.pop(k)
         prev = pivots[k]
         for i in row:
-            bring(i, k)
             r = rows[i]
-            a = r.pop(k)
-            for j in row.keys() | r.keys():
-                r[j] = (r.get(j, 0) * p - a * row.get(j, 0)) // prev
-            level[i] = k + 1
+            a = at(r.pop(k), k)
+            for j, x in row.items():
+                r[j] = ((at(r[j], k) if j in r else 0) * p - a * x) // prev, k + 1
         pivots.append(p)
     return pivots[-1]
 

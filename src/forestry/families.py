@@ -11,7 +11,7 @@ graph has a build order of this shape, so each family level is complete.
 from itertools import combinations
 
 from .errors import CapExceeded
-from .multigraph import MultiGraph, canonical_key, from_edge_list
+from .multigraph import MultiGraph, _derive, canonical_key
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
@@ -64,13 +64,10 @@ def family_levels(degree_set, n_max, cap=None):
         grown = {}
         members = {}
         for g in current:
-            edges = g.edge_list()
             open_slots = [v for v in range(g.n) if g.degree(v) < dmax]
             for k in range(1, dmax + 1):
                 for hook in combinations(open_slots, k):
-                    child = from_edge_list(
-                        g.n + 1, edges + [(v, g.n) for v in hook]
-                    )
+                    child = _derive(g, g.n + 1, range(g.n), [(v, g.n) for v in hook])
                     # membership at this order is decided on its own: a
                     # finished graph stays in the level even when it has
                     # no spare degree left to grow with (K5 among others)

@@ -22,10 +22,11 @@ from .counting import count_forests, count_trees
 from .errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
 from .multigraph import (
     _build,
+    _derive,
+    _without,
     canonical_key,
     components,
     delete_vertex,
-    from_edge_list,
     is_connected,
 )
 
@@ -125,11 +126,13 @@ def _validate_plan(g, x, plan, simple):
 def complete_lift(g, x, plan, simple=False):
     """Apply a complete lift of x along plan; the result drops x."""
     _validate_plan(g, x, plan, simple)
-    base = delete_vertex(g, x)
-    pairs = base.edge_list()
-    for a, b in plan.pairs:
-        pairs.append((a - 1 if a > x else a, b - 1 if b > x else b))
-    return from_edge_list(base.n, pairs)
+    return _lift(g, x, plan.pairs)
+
+
+def _lift(g, x, pairs):
+    """The complete lift of x along pairs, which the caller has checked."""
+    vmap = _without(g.n, x)
+    return _derive(g, g.n - 1, vmap, [(vmap[a], vmap[b]) for a, b in pairs])
 
 
 def enumerate_lifts(g, x, simple=False):
@@ -161,10 +164,8 @@ def enumerate_lifts(g, x, simple=False):
     rec(ends, [])
     out = []
     for pairing in pairings:
-        if simple and any(g.multiplicity(a, b) for a, b in pairing):
-            continue
-        plan = LiftPlan(x, pairing)
-        out.append((plan, complete_lift(g, x, plan, simple=simple)))
+        if not (simple and any(g.multiplicity(a, b) for a, b in pairing)):
+            out.append((LiftPlan(x, pairing), _lift(g, x, pairing)))
     return out
 
 

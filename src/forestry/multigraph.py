@@ -108,15 +108,31 @@ def from_edge_list(n, pairs):
     return _build(n, mults)
 
 
+def _derive(g, n, vmap, extra=()):
+    """The graph on n vertices with g's bundles sent through vmap, plus extra pairs.
+
+    vmap[v] is v's new id, or None to drop v with its edges.  Bundles that
+    land on one pair merge, bundles that land on one vertex are dropped,
+    and each extra (u, v) pair, in new ids, adds one copy.  Callers have
+    already checked their arguments.
+    """
+    mults = {}
+    for u, v, t in g.bundles():
+        a, b = vmap[u], vmap[v]
+        if a is not None and b is not None and a != b:
+            key = (a, b) if a < b else (b, a)
+            mults[key] = mults.get(key, 0) + t
+    for a, b in extra:
+        key = (a, b) if a < b else (b, a)
+        mults[key] = mults.get(key, 0) + 1
+    return _build(n, mults)
+
+
 def relabel(g, perm):
     """Apply a bijection perm (perm[old] = new) to vertex ids."""
     if sorted(perm) != list(range(g.n)):
         raise VertexOutOfRange("perm is not a bijection on 0..n-1")
-    mults = {}
-    for u, v, t in g.bundles():
-        a, b = perm[u], perm[v]
-        mults[(a, b) if a < b else (b, a)] = t
-    return _build(g.n, mults)
+    return _derive(g, g.n, perm)
 
 
 def induced(g, vertices):
@@ -124,48 +140,40 @@ def induced(g, vertices):
     vs = sorted(set(vertices))
     for v in vs:
         g._check(v)
-    idx = {v: i for i, v in enumerate(vs)}
-    mults = {}
-    for u, v, t in g.bundles():
-        if u in idx and v in idx:
-            mults[(idx[u], idx[v])] = t
-    return _build(len(vs), mults)
+    vmap = [None] * g.n
+    for i, v in enumerate(vs):
+        vmap[v] = i
+    return _derive(g, len(vs), vmap)
 
 
 def delete_edge(g, u, v):
     """Remove one copy of the edge uv."""
-    t = g.multiplicity(u, v)
-    if t == 0:
-        raise EdgeAbsent(f"no edge between {u} and {v}")
-    mults = {(a, b): s for a, b, s in g.bundles()}
-    key = (u, v) if u < v else (v, u)
-    if t == 1:
-        del mults[key]
-    else:
-        mults[key] = t - 1
-    return _build(g.n, mults)
+    return _remove_copies(g, u, v, 1)
 
 
 def delete_bundle(g, u, v):
     """Remove every parallel copy between u and v."""
-    if g.multiplicity(u, v) == 0:
+    return _remove_copies(g, u, v, g.multiplicity(u, v))
+
+
+def _remove_copies(g, u, v, k):
+    t = g.multiplicity(u, v)
+    if t == 0:
         raise EdgeAbsent(f"no edge between {u} and {v}")
     mults = {(a, b): s for a, b, s in g.bundles()}
-    del mults[(u, v) if u < v else (v, u)]
+    mults[(u, v) if u < v else (v, u)] = t - k  # _build drops a bundle at 0
     return _build(g.n, mults)
 
 
 def delete_vertex(g, v):
     """Remove v and its edges; ids above v shift down by one."""
     g._check(v)
-    mults = {}
-    for a, b, t in g.bundles():
-        if a == v or b == v:
-            continue
-        a2 = a if a < v else a - 1
-        b2 = b if b < v else b - 1
-        mults[(a2, b2) if a2 < b2 else (b2, a2)] = t
-    return _build(g.n - 1, mults)
+    return _derive(g, g.n - 1, _without(g.n, v))
+
+
+def _without(n, x):
+    """The vertex map that drops x and shifts the ids above it down."""
+    return [v - (v > x) if v != x else None for v in range(n)]
 
 
 def contract_edge(g, u, v):
@@ -214,14 +222,7 @@ def _identify(g, groups):
     for v in range(g.n):
         newid.append(nid)
         nid += rep[v] == v
-    mults = {}
-    for a, b, t in g.bundles():
-        a2, b2 = newid[rep[a]], newid[rep[b]]
-        if a2 == b2:
-            continue
-        key = (a2, b2) if a2 < b2 else (b2, a2)
-        mults[key] = mults.get(key, 0) + t
-    return _build(nid, mults)
+    return _derive(g, nid, [newid[r] for r in rep])
 
 
 def components(g):
@@ -247,62 +248,6 @@ def components(g):
 
 def is_connected(g):
     return len(components(g)) <= 1
-
-
-def _bridges_and_cuts(g):
-    n = g.n
-    adj = g._adj
-    disc = [-1] * n
-    low = [0] * n
-    br = set()
-    cuts = set()
-    t = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        disc[root] = low[root] = t
-        t += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, pv, it = stack[-1]
-            pushed = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = t
-                    t += 1
-                    stack.append((w, v, iter(adj[w])))
-                    pushed = True
-                    break
-                if w == pv and adj[v][w] == 1:
-                    continue  # the single tree edge back to the parent
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            if pushed:
-                continue
-            stack.pop()
-            if pv == -1:
-                continue
-            if low[v] < low[pv]:
-                low[pv] = low[v]
-            if low[v] > disc[pv] and adj[v][pv] == 1:
-                br.add((min(v, pv), max(v, pv)))
-            if pv == root:
-                root_children += 1
-            elif low[v] >= disc[pv]:
-                cuts.add(pv)
-        if root_children >= 2:
-            cuts.add(root)
-    return br, cuts
-
-
-def bridges(g):
-    """Bridge edges as (u, v) pairs, u < v.  Parallel bundles never qualify."""
-    return _bridges_and_cuts(g)[0]
-
-
-def cut_vertices(g):
-    return _bridges_and_cuts(g)[1]
 
 
 def degree_counts(g):

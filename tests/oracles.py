@@ -179,6 +179,13 @@ def rand_multigraph(rng, max_n=8, max_edges=16, max_mult=3, connected=False):
             return g
 
 
+def rebuild(g, n, vmap, extra=()):
+    """Each edge copy of g sent through vmap (None drops it), loops dropped, plus extra pairs."""
+    pairs = [(vmap[u], vmap[v]) for u, v in g.edge_list()]
+    kept = [(a, b) for a, b in pairs if a is not None and b is not None and a != b]
+    return from_edge_list(n, kept + list(extra))
+
+
 def complete_graph(n):
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -292,3 +299,37 @@ def reference_automorphisms(n, adj, loops=None):
     for other in orders:
         auts.append(tuple(other[pos[v]] for v in range(n)))
     return auts
+
+
+def reference_vertex_order(adj):
+    """The counting engine's vertex order, found by rescanning every candidate.
+
+    Each next vertex is a neighbour of the frontier that leaves it
+    smallest; with an empty frontier the next component starts at a
+    vertex of least degree.  Ties go to fewer unentered neighbours, then
+    the lower id.
+    """
+    n = len(adj)
+    waiting = [len(a) for a in adj]  # neighbours not yet entered
+    entered = [False] * n
+    starts = iter(sorted(range(n), key=lambda v: (len(adj[v]), v)))
+    candidates = set()
+    order = []
+
+    def cost(v):
+        leaving = sum(1 for u in adj[v] if entered[u] and waiting[u] == 1)
+        return ((waiting[v] > 0) - leaving, waiting[v], v)
+
+    while len(order) < n:
+        if candidates:
+            v = min(candidates, key=cost)
+            candidates.discard(v)
+        else:
+            v = next(s for s in starts if not entered[s])
+        entered[v] = True
+        order.append(v)
+        for w in adj[v]:
+            waiting[w] -= 1
+            if not entered[w]:
+                candidates.add(w)
+    return order

@@ -211,6 +211,11 @@ def test_ring_roots_increase_to_the_limit():
 def test_ring_family_rejects_bad_seeds():
     with pytest.raises(BridgeEdge):
         ring_family(path_graph(3), 0, 1, [1])
+    # one copy of a doubled edge is never a bridge, so the ring may break there
+    doubled = from_edge_list(3, [(0, 1), (0, 1), (1, 2)])
+    assert [row.direct for row in ring_family(doubled, 0, 1, [1]).rows] == [count_forests(doubled)]
+    with pytest.raises(BridgeEdge):
+        ring_family(doubled, 1, 2, [1])
     two_triangles = from_edge_list(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )

@@ -103,22 +103,6 @@ def test_empty_and_trivial_graphs():
     assert canonical_key(MultiGraph(1)) != canonical_key(MultiGraph(2))
 
 
-def test_loop_aware_keys():
-    # the low-level interface also fingerprints loops: a dumbbell (one edge,
-    # a loop at each end) is not the triple edge even though both are cubic
-    from forestry.canon import canonical_key as raw_key
-
-    bar = [{1: 1}, {0: 1}]
-    dumbbell = raw_key(2, bar, loops=[1, 1])
-    theta = raw_key(2, [{1: 3}, {0: 3}])
-    assert dumbbell != theta
-
-    loop_left = raw_key(2, bar, loops=[2, 0])
-    loop_right = raw_key(2, bar, loops=[0, 2])
-    assert loop_left == loop_right
-    assert loop_left != dumbbell
-
-
 # -- the pruned search against the full reference search ----------------
 
 
@@ -131,11 +115,11 @@ def _raw(n, mults):
     return adj
 
 
-def _assert_matches_reference(n, adj, loops=None):
-    assert canon.canonical_key(n, adj, loops) == reference_canonical_key(n, adj, loops)
-    auts = canon.automorphisms(n, adj, loops)
+def _assert_matches_reference(n, adj):
+    assert canon.canonical_key(n, adj) == reference_canonical_key(n, adj)
+    auts = canon.automorphisms(n, adj)
     assert len(auts) == len(set(auts))
-    assert set(auts) == set(reference_automorphisms(n, adj, loops))
+    assert set(auts) == set(reference_automorphisms(n, adj))
 
 
 @st.composite
@@ -143,8 +127,7 @@ def raw_multigraphs(draw):
     n = draw(st.integers(0, 7))
     pairs = list(itertools.combinations(range(n), 2))
     mults = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
-    loops = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return n, _raw(n, dict(zip(pairs, mults))), loops
+    return n, _raw(n, dict(zip(pairs, mults)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from forestry import (
     extension_count,
     from_edge_list,
 )
+from forestry import counting
 from forestry.errors import (
     EdgeAbsent,
     InvalidPartition,
@@ -33,6 +35,7 @@ from oracles import (
     kirchhoff_trees,
     path_graph,
     rand_multigraph,
+    reference_vertex_order,
     separating_forests_bruteforce,
     trees_by_subsets,
 )
@@ -74,6 +77,21 @@ def test_a_400_cycle_counts_without_recursion():
     assert count_trees(c, cache) == 400
     assert count_forests(c, cache) == 2**400 - 1
     assert (cache.hits, cache.misses, len(cache)) == (1, 2, 2)
+
+
+def test_a_20000_leaf_star_counts_quickly():
+    # an order rescanning every candidate at each step is quadratic here
+    star = from_edge_list(20001, [(0, i) for i in range(1, 20001)])
+    t0 = time.perf_counter()
+    assert count_forests(star) == 2**20000
+    assert count_trees(star) == 1
+    assert time.perf_counter() - t0 < 20
+
+
+def test_dense_input_stops_at_the_state_table_guard():
+    assert count_forests(complete_graph(11)) == 4767440679  # OEIS A001858
+    with pytest.raises(TooLarge):
+        count_forests(complete_graph(13))
 
 
 def test_trees_have_power_of_two_forests():
@@ -400,3 +418,18 @@ def test_deleting_an_edge_strictly_reduces_forests():
             continue
         u, v, _ = pairs[0]
         assert count_forests(delete_edge(g, u, v)) < count_forests(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_vertex_order_matches_the_rescanning_reference(seed):
+    g = rand_multigraph(random.Random(seed), max_n=14, max_edges=40)
+    assert counting._vertex_order(g._adj) == reference_vertex_order(g._adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_trees_match_kirchhoff_past_the_subset_oracle(seed):
+    # enough edges that Bareiss scales entries lazily across several pivots
+    g = rand_multigraph(random.Random(seed), max_n=12, max_edges=40, connected=True)
+    assert count_trees(g) == kirchhoff_trees(g)

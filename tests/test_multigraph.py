@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 
 from forestry import (
     MultiGraph,
-    bridges,
     canonical_key,
+    complete_lift,
     components,
     contract_edge,
     contract_set,
-    cut_vertices,
     degree_counts,
     delete_bundle,
     delete_edge,
     delete_vertex,
+    enumerate_lifts,
     from_edge_list,
     induced,
     is_connected,
@@ -23,7 +23,7 @@ from forestry import (
 )
 from forestry.errors import EdgeAbsent, LoopRejected, VertexOutOfRange
 
-from oracles import complete_graph, cycle_graph, path_graph, rand_multigraph
+from oracles import complete_graph, cycle_graph, path_graph, rand_multigraph, rebuild
 
 
 def test_from_edge_list_accumulates_parallel_copies():
@@ -117,21 +117,6 @@ def test_components_and_connectivity():
     assert is_connected(cycle_graph(4))
 
 
-def test_bridges_respect_multiplicity():
-    # a doubled edge is never a bridge; a single connector is
-    g = from_edge_list(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)])
-    assert bridges(g) == {(1, 2)}
-    assert bridges(cycle_graph(5)) == set()
-    assert bridges(path_graph(4)) == {(0, 1), (1, 2), (2, 3)}
-
-
-def test_cut_vertices_bowtie():
-    bowtie = from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    assert cut_vertices(bowtie) == {2}
-    assert cut_vertices(cycle_graph(6)) == set()
-    assert cut_vertices(path_graph(4)) == {1, 2}
-
-
 def test_degree_counts():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
     assert degree_counts(g) == {2: 3, 3: 2}
@@ -177,3 +162,48 @@ def test_equality_is_labeled():
     b = from_edge_list(3, [(1, 2)])
     assert a != b
     assert canonical_key(a) == canonical_key(b)
+
+
+def _same(h, expected):
+    # equal graphs whose bundles also come out in the same (ascending) order
+    return h == expected and list(h.bundles()) == list(expected.bundles())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_derived_graphs_match_an_edge_list_rebuild(seed):
+    rng = random.Random(seed)
+    g = rand_multigraph(rng, max_n=7, max_edges=14)
+    n = g.n
+    perm = rng.sample(range(n), n)
+    assert _same(relabel(g, perm), rebuild(g, n, perm))
+    keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+    rank = [keep.index(v) if v in keep else None for v in range(n)]
+    assert _same(induced(g, keep), rebuild(g, len(keep), rank))
+
+    def without(x):
+        return [v - (v > x) if v != x else None for v in range(n)]
+
+    x = rng.randrange(n)
+    assert _same(delete_vertex(g, x), rebuild(g, n - 1, without(x)))
+    vs = rng.sample(range(n), rng.randint(1, n))
+    survivors = [v for v in range(n) if v not in vs or v == min(vs)]
+    merged = [survivors.index(min(vs) if v in vs else v) for v in range(n)]
+    assert _same(contract_set(g, vs), rebuild(g, len(survivors), merged))
+    edges = g.edge_list()
+    if edges:
+        u, v = rng.choice(edges)
+        fewer = list(edges)
+        fewer.remove((u, v))
+        assert _same(delete_edge(g, u, v), from_edge_list(n, fewer))
+        assert _same(delete_bundle(g, u, v), from_edge_list(n, [e for e in edges if e != (u, v)]))
+        survivors = [w for w in range(n) if w != v]
+        merged = [survivors.index(u if w == v else w) for w in range(n)]
+        assert _same(contract_edge(g, u, v), rebuild(g, n - 1, merged))
+    for x in range(n):
+        if g.degree(x) % 2 == 0 and g.degree(x) <= 8:
+            shift = without(x)
+            for plan, lifted in enumerate_lifts(g, x):
+                pairs = [(shift[a], shift[b]) for a, b in plan.pairs]
+                assert _same(lifted, rebuild(g, n - 1, shift, pairs))
+                assert _same(complete_lift(g, x, plan), lifted)
