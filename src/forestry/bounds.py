@@ -31,6 +31,7 @@ from .errors import (
 )
 from .multigraph import (
     MultiGraph,
+    _build,
     contract_edge,
     degree_counts,
     delete_edge,
@@ -147,13 +148,13 @@ class RadicalBound:
         return self.outer * self.inner ** (1 / self.index)
 
 
-def upper_bound_fd(d, cap=DEFAULT_FD_CAP, cache=None):
+def upper_bound_fd(d, cap=DEFAULT_FD_CAP):
     """The ring-family ceiling [2 * F(K_{d+1} - e)]^(1/(d+1)) for d-regular graphs."""
     if not 3 <= d <= cap:
         raise CapExceeded(f"d = {d} is outside 3..{cap}")
     n = d + 1
     seed = from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    radicand = 2 * count_forests(delete_edge(seed, 0, 1), cache)
+    radicand = 2 * count_forests(delete_edge(seed, 0, 1))
     factors = _factorize(radicand)
     outer = 1
     inner = 1
@@ -189,7 +190,7 @@ class FamilySeries:
     limit: float
 
 
-def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP, cache=None):
+def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP):
     """Chain m copies of g, broken at uv, into a ring; count exactly.
 
     Copy i keeps every edge except one copy of uv, and the ring edges
@@ -202,8 +203,8 @@ def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP, cache=None):
     cut = delete_edge(g, u, v)  # raises EdgeAbsent when uv is missing
     if not is_connected(cut):
         raise BridgeEdge(f"edge {u}-{v} is a bridge, the broken ring would fall apart")
-    a_value = count_forests(cut, cache)
-    b_value = a_value - count_forests(contract_edge(g, u, v), cache)
+    a_value = count_forests(cut)
+    b_value = a_value - count_forests(contract_edge(g, u, v))
     if not a_value > b_value >= 0:
         raise ValueError(f"ring invariant broke: A = {a_value}, B = {b_value}")
     r = g.n
@@ -215,22 +216,24 @@ def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP, cache=None):
         root = math.exp(math.log(forests) / (m * r))
         direct = None
         if m <= direct_cap:
-            direct = count_forests(_ring_graph(g, u, v, m), cache)
+            direct = count_forests(_ring_graph(g, u, v, m))
         rows.append(FamilyRow(m, forests, root, direct))
     limit = math.exp(math.log(2 * a_value) / r)
     return FamilySeries(g, (u, v), r, a_value, b_value, tuple(rows), limit)
 
 
 def _ring_graph(g, u, v, m):
+    """m copies of g less one uv copy, copy i's v joined to copy (i + 1)'s u."""
     n = g.n
-    cut = delete_edge(g, u, v)
-    pairs = []
+    mults = {}
     for i in range(m):
-        base = i * n
-        for x, y in cut.edge_list():
-            pairs.append((base + x, base + y))
-        pairs.append((base + v, (i + 1) % m * n + u))
-    return from_edge_list(m * n, pairs)
+        for x, y, t in g.bundles():
+            mults[i * n + x, i * n + y] = t
+        mults[i * n + min(u, v), i * n + max(u, v)] -= 1  # _build drops a bundle at 0
+    for i in range(m):
+        a, b = sorted((i * n + v, (i + 1) % m * n + u))
+        mults[a, b] = mults.get((a, b), 0) + 1
+    return _build(m * n, mults)
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,13 @@ def _check_gadget(g):
             raise AttachmentMismatch(f"attachment {v} is not a vertex")
 
 
-def min_ratio_check(gadget_a, gadget_b, cache=None):
+def _extensions(gadget, part):
+    """The gadget's extension count with each block of attachment positions identified."""
+    blocks = [[gadget.attachments[i] for i in block] for block in part]
+    return extension_count(gadget.graph, gadget.graph.edge_list(), blocks)
+
+
+def min_ratio_check(gadget_a, gadget_b):
     """Worst case of (extensions of a) / (extensions of b) over partitions.
 
     Positions in the two attachment tuples correspond; partitions range
@@ -301,13 +310,7 @@ def min_ratio_check(gadget_a, gadget_b, cache=None):
     best = None
     argmin = None
     for part in set_partitions(range(k)):
-        counts = []
-        for gadget in (gadget_a, gadget_b):
-            blocks = [[gadget.attachments[i] for i in block] for block in part]
-            counts.append(
-                extension_count(gadget.graph, gadget.graph.edge_list(), blocks, cache)
-            )
-        num, den = counts
+        num, den = _extensions(gadget_a, part), _extensions(gadget_b, part)
         if den == 0:
             row = RatioRow(part, num, den, None)
             zero_rows.append(row)
@@ -366,7 +369,7 @@ class Table2Report:
         return all(row.ok for row in self.rows)
 
 
-def table2_check(cache=None):
+def table2_check():
     """Recompute the star-versus-matchings extension table and check it."""
     star = Gadget(from_edge_list(5, [(0, i) for i in range(1, 5)]), (1, 2, 3, 4))
     matchings = [
@@ -376,13 +379,7 @@ def table2_check(cache=None):
     ]
     rows = []
     for part, expected in TABLE2_ROWS:
-        computed = []
-        for gadget in [star] + matchings:
-            blocks = [[gadget.attachments[i] for i in block] for block in part]
-            computed.append(
-                extension_count(gadget.graph, gadget.graph.edge_list(), blocks, cache)
-            )
-        computed = tuple(computed)
+        computed = tuple(_extensions(gadget, part) for gadget in [star] + matchings)
         lam = computed[0]
         # the shrink factor 6/5 must survive every row: 5 lam >= 6 sum
         inequality_ok = 5 * lam >= 6 * sum(computed[1:])

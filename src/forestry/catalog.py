@@ -8,7 +8,7 @@ of letting a bad transcription leak into downstream checks.
 from dataclasses import dataclass
 
 from .bounds import LESS, BoundExpr, compare, q_bound
-from .counting import MemoCache, count_forests
+from .counting import count_forests
 from .errors import CatalogMismatch
 from .multigraph import MultiGraph, degree_counts, from_edge_list
 
@@ -400,9 +400,9 @@ _RAW = [
 _ENTRIES = None
 
 
-def _check(entry, cache):
+def _check(entry):
     g = entry.graph
-    actual = count_forests(g, cache)
+    actual = count_forests(g)
     if actual != entry.forests:
         raise CatalogMismatch(
             "%s: counted %d forests, catalog says %d"
@@ -427,7 +427,6 @@ def catalog():
     """All named graphs, verified against their stored counts on first use."""
     global _ENTRIES
     if _ENTRIES is None:
-        cache = MemoCache()
         entries = []
         for name, summary, n, edges, forests, degs, (a, c), holds in _RAW:
             entry = CatalogEntry(
@@ -439,7 +438,7 @@ def catalog():
                 BoundExpr(a, 0, c, 10),
                 holds,
             )
-            _check(entry, cache)
+            _check(entry)
             entries.append(entry)
         _ENTRIES = tuple(entries)
     return list(_ENTRIES)

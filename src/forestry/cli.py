@@ -10,7 +10,6 @@ cross-check disagreement), 2 usage or input errors.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .bounds import (
     Gadget,
@@ -38,40 +37,16 @@ from .sweep import THEOREMS, sweep_theorem
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Plumbing shared by the subcommands, validated up front."""
-
-    subcommand: str
-    source: object  # file path, or None for stdin
-    catalog_name: object
-    output: str
-    brute_cap: int
-    max_n: object
-    store: object
-
-    @classmethod
-    def from_args(cls, ns):
-        cfg = cls(
-            subcommand=ns.subcommand,
-            source=getattr(ns, "path", None),
-            catalog_name=getattr(ns, "catalog", None),
-            output=ns.output,
-            brute_cap=getattr(ns, "brute_cap", 24),
-            max_n=getattr(ns, "max_n", None),
-            store=getattr(ns, "store", None),
-        )
-        for label, cap in (
-            ("--brute-cap", cfg.brute_cap),
-            ("--max-n", cfg.max_n),
-        ):
-            if cap is not None and cap < 1:
-                raise ValueError(f"{label} must be positive, got {cap}")
-        if cfg.source is not None and cfg.catalog_name is not None:
+def _check_args(ns):
+    """Refuse bad arguments before any real work."""
+    args = vars(ns)
+    for flag in ("brute_cap", "max_n"):
+        if args.get(flag) is not None and args[flag] < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be positive, got {args[flag]}")
+    if args.get("catalog") is not None:
+        if args["path"] is not None:
             raise ValueError("give a file path or --catalog, not both")
-        if cfg.catalog_name is not None:
-            _resolve_catalog(cfg.catalog_name)  # fail before any real work
-        return cfg
+        _resolve_catalog(ns.catalog)
 
 
 def _resolve_catalog(name):
@@ -83,11 +58,11 @@ def _resolve_catalog(name):
         ) from None
 
 
-def _load_graph(cfg):
-    if cfg.catalog_name is not None:
-        return _resolve_catalog(cfg.catalog_name).graph
-    if cfg.source is not None:
-        with open(cfg.source, encoding="utf-8") as fh:
+def _load_graph(ns):
+    if ns.catalog is not None:
+        return _resolve_catalog(ns.catalog).graph
+    if ns.path is not None:
+        with open(ns.path, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
@@ -98,58 +73,45 @@ def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
-def _count_payload(g, cache):
-    return {
-        "v": SCHEMA_VERSION,
-        "n": g.n,
-        "m": g.m,
-        "forests": str(count_forests(g, cache)),
-        "trees": str(count_trees(g, cache)),
-        "cache_hits": cache.hits,
-    }
-
-
-def _cmd_count(cfg, ns):
+def _cmd_count(ns):
+    """count and trees: text shows the one count, JSON both and the cache's hits."""
     cache = MemoCache()
-    g = _load_graph(cfg)
-    forests = count_forests(g, cache)
-    if ns.cross_check:
-        brute = count_forests_bruteforce(g, cap=cfg.brute_cap)
-        if brute != forests:
+    g = _load_graph(ns)
+    value = (count_forests if ns.subcommand == "count" else count_trees)(g, cache)
+    if getattr(ns, "cross_check", False):
+        brute = count_forests_bruteforce(g, cap=ns.brute_cap)
+        if brute != value:
             print(
-                f"error: engine counts {forests} forests, brute force {brute}",
+                f"error: engine counts {value} forests, brute force {brute}",
                 file=sys.stderr,
             )
             return 1
-    if cfg.output == "json":
-        _emit_json(_count_payload(g, cache))
+    if ns.output == "json":
+        _emit_json(
+            {
+                "v": SCHEMA_VERSION,
+                "n": g.n,
+                "m": g.m,
+                "forests": str(count_forests(g, cache)),
+                "trees": str(count_trees(g, cache)),
+                "cache_hits": cache.hits,
+            }
+        )
     else:
-        print(forests)
+        print(value)
     return 0
 
 
-def _cmd_trees(cfg, ns):
-    cache = MemoCache()
-    g = _load_graph(cfg)
-    trees = count_trees(g, cache)
-    if cfg.output == "json":
-        _emit_json(_count_payload(g, cache))
-    else:
-        print(trees)
-    return 0
-
-
-def _cmd_bound(cfg, ns):
-    cache = MemoCache()
-    g = _load_graph(cfg)
+def _cmd_bound(ns):
+    g = _load_graph(ns)
     which = ns.which
     if which == "auto":
         degrees = {g.degree(v) for v in range(g.n)}
         which = "p" if degrees <= {2, 3} else "q"
     expr = (p_bound if which == "p" else q_bound)(g)
-    forests = count_forests(g, cache)
+    forests = count_forests(g)
     verdict = compare(forests, expr)
-    if cfg.output == "json":
+    if ns.output == "json":
         _emit_json(
             {
                 "v": SCHEMA_VERSION,
@@ -188,23 +150,17 @@ def _outcome_text(pairs, names):
     return ", ".join(shown)
 
 
-def _cmd_verify(cfg, ns):
+def _cmd_verify(ns):
     theorem = "T" + ns.theorem
     degree_set = THEOREMS[theorem][0]
-    n_max = cfg.max_n
+    n_max = ns.max_n
     if n_max is None:
         n_max = DEFAULT_FAMILY_CAPS[frozenset(degree_set)]
-    cache = MemoCache()
     summary = sweep_theorem(
-        theorem,
-        n_max,
-        store=cfg.store,
-        resume=ns.resume,
-        cache=cache,
-        cap=ns.family_cap,
+        theorem, n_max, store=ns.store, resume=ns.resume, cap=ns.family_cap
     )
     names = _key_names()
-    if cfg.output == "json":
+    if ns.output == "json":
         _emit_json(
             {
                 "v": SCHEMA_VERSION,
@@ -227,11 +183,11 @@ def _cmd_verify(cfg, ns):
     return 0
 
 
-def _cmd_family(cfg, ns):
+def _cmd_family(ns):
     degree_set = {"23": (2, 3), "234": (2, 3, 4)}[ns.degrees]
     members = enumerate_family(ns.n, degree_set, cap=ns.family_cap)
     lines = [format_graph6(g) for g in members]
-    if cfg.output == "json":
+    if ns.output == "json":
         _emit_json(
             {
                 "v": SCHEMA_VERSION,
@@ -258,11 +214,10 @@ def _radical_text(rb):
     return root if rb.outer == 1 else f"{rb.outer} * {root}"
 
 
-def _cmd_constants(cfg, ns):
-    cache = MemoCache()
+def _cmd_constants(ns):
     if ns.fd is not None:
-        rb = upper_bound_fd(ns.fd, cache=cache)
-        if cfg.output == "json":
+        rb = upper_bound_fd(ns.fd)
+        if ns.output == "json":
             _emit_json(
                 {
                     "v": SCHEMA_VERSION,
@@ -284,11 +239,11 @@ def _cmd_constants(cfg, ns):
         raise ValueError(f"--max-m must be positive, got {ns.max_m}")
     kinds = ("forests", "trees") if ns.kind == "both" else (ns.kind,)
     rows = [
-        lift_constant(m, kind, cache=cache)
+        lift_constant(m, kind)
         for m in range(1, ns.max_m + 1)
         for kind in kinds
     ]
-    if cfg.output == "json":
+    if ns.output == "json":
         _emit_json(
             {
                 "v": SCHEMA_VERSION,
@@ -380,21 +335,20 @@ def _table2_payload(report):
     }
 
 
-def _cmd_ratio(cfg, ns):
-    cache = MemoCache()
+def _cmd_ratio(ns):
     suites = _ratio_suites()
     chosen = list(suites) + ["table2"] if ns.suite == "all" else [ns.suite]
     payloads = []
     failed = False
     for name in chosen:
         if name == "table2":
-            report = table2_check(cache)
+            report = table2_check()
             payloads.append(_table2_payload(report))
             failed = failed or not report.ok
         else:
             a, b = suites[name]
-            payloads.append(_ratio_payload(name, min_ratio_check(a, b, cache)))
-    if cfg.output == "json":
+            payloads.append(_ratio_payload(name, min_ratio_check(a, b)))
+    if ns.output == "json":
         _emit_json({"v": SCHEMA_VERSION, "suites": payloads})
     else:
         for payload in payloads:
@@ -418,12 +372,11 @@ def _cmd_ratio(cfg, ns):
     return 0
 
 
-def _cmd_catalog(cfg, ns):
+def _cmd_catalog(ns):
     entries = catalog()
     if ns.name is not None:
         entries = [_resolve_catalog(ns.name)]
-    if cfg.output == "json":
-        cache = MemoCache()
+    if ns.output == "json":
         out = []
         for e in entries:
             obj = {
@@ -432,7 +385,7 @@ def _cmd_catalog(cfg, ns):
                 "n": e.graph.n,
                 "m": e.graph.m,
                 "forests": str(e.forests),
-                "trees": str(count_trees(e.graph, cache)),
+                "trees": str(count_trees(e.graph)),
                 "degree_counts": list(e.degree_counts),
                 "bound": str(e.bound),
                 "holds": e.holds,
@@ -449,13 +402,12 @@ def _cmd_catalog(cfg, ns):
         return 0
     if ns.name is not None:
         e = entries[0]
-        cache = MemoCache()
         print(f"name {e.name}")
         print(f"summary {e.summary}")
         print(f"vertices {e.graph.n}")
         print(f"edges {e.graph.m}")
         print(f"forests {e.forests}")
-        print(f"trees {count_trees(e.graph, cache)}")
+        print(f"trees {count_trees(e.graph)}")
         n2, n3, n4 = e.degree_counts
         print(f"degrees 2:{n2} 3:{n3} 4:{n4}")
         print(f"bound {e.bound}")
@@ -472,7 +424,7 @@ def _cmd_catalog(cfg, ns):
 
 _DISPATCH = {
     "count": _cmd_count,
-    "trees": _cmd_trees,
+    "trees": _cmd_count,
     "bound": _cmd_bound,
     "verify": _cmd_verify,
     "family": _cmd_family,
@@ -666,8 +618,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = RunConfig.from_args(ns)
-        return _DISPATCH[ns.subcommand](cfg, ns)
+        _check_args(ns)
+        return _DISPATCH[ns.subcommand](ns)
     except (ViolationFound, CatalogMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

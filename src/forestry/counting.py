@@ -39,8 +39,7 @@ class MemoCache:
     an existing key raises, which would mean a counting bug upstream.
     """
 
-    def __init__(self, max_entries=None):
-        self.max_entries = max_entries
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self._table = {}
@@ -59,8 +58,6 @@ class MemoCache:
         if old is not None:
             if old != value:
                 raise ValueError(f"memo entry for {k!r} changed: {old} -> {value}")
-            return
-        if self.max_entries is not None and len(self._table) >= self.max_entries:
             return
         self._table[k] = value
 
@@ -256,15 +253,15 @@ def count_forests_bruteforce(g, cap=24):
     return rec(0)
 
 
-def count_forests_separating(g, vset, cache=None):
+def count_forests_separating(g, vset):
     """Forests in which all of vset's vertices lie in distinct components."""
     vs = sorted(set(vset))
     if not vs:
         raise VertexOutOfRange("need at least one vertex to separate")
-    return count_forests(contract_set(g, vs), cache)
+    return count_forests(contract_set(g, vs))
 
 
-def extension_count(g, gadget_edges, partition, cache=None):
+def extension_count(g, gadget_edges, partition):
     """Forest count of the gadget with each partition block identified.
 
     gadget_edges is a multiset of (u, v) pairs taken from g; partition
@@ -306,4 +303,4 @@ def extension_count(g, gadget_edges, partition, cache=None):
         if g.degree(w) > gadget_deg[w] and w not in covered:
             raise InvalidPartition(f"attachment vertex {w} is not in any block")
     # the vertices of g outside the gadget stay isolated: a factor of 1
-    return count_forests(_identify(_build(g.n, gadget), blocks), cache)
+    return count_forests(_identify(_build(g.n, gadget), blocks))

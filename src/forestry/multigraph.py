@@ -61,9 +61,6 @@ class MultiGraph:
             out.extend([(u, v)] * t)
         return out
 
-    def degree_sequence(self):
-        return tuple(sorted(self.degree(v) for v in range(self.n)))
-
     def _check(self, v):
         if not isinstance(v, int) or v < 0 or v >= self.n:
             raise VertexOutOfRange(f"vertex {v!r} not in 0..{self.n - 1}")

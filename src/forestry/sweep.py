@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bounds import EQUAL, LESS, compare, p_bound, q_bound
 from .catalog import catalog_entry
-from .counting import MemoCache, count_forests
+from .counting import count_forests
 from .errors import CorruptRecord, IoError, ViolationFound
 from .families import family_levels
 from .multigraph import canonical_key
@@ -151,14 +151,14 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
     """
     if theorem not in THEOREMS:
         raise ValueError("theorem must be one of %s" % sorted(THEOREMS))
+    if resume and not store:
+        raise ValueError("resume needs a store to resume from")
     degree_set, family, bound_fn, exceptional = THEOREMS[theorem]
     expected = {
         canonical_key(catalog_entry(name).graph): (order, name)
         for order, name in exceptional
     }
-    done = run_store_resume(store, family) if (resume and store) else {}
-    if cache is None:
-        cache = MemoCache()
+    done = run_store_resume(store, family) if resume else {}
     checked = skipped = 0
     violations = []
     equalities = []

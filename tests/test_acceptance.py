@@ -151,7 +151,7 @@ def test_criterion_3_recursion_identities(shared_cache):
         if g.n == 0:
             continue
         vset = set(rng.sample(range(g.n), rng.randint(1, min(g.n, 3))))
-        assert count_forests_separating(g, vset, shared_cache) == (
+        assert count_forests_separating(g, vset) == (
             separating_forests_bruteforce(g, vset)
         )
         done += 1
@@ -248,13 +248,13 @@ def test_criterion_5_lift_feasibility_equivalence():
     assert checked == 1960549
 
 
-def test_criterion_6_gadget_ratio_suites(shared_cache):
+def test_criterion_6_gadget_ratio_suites():
     # Double star against two disjoint edges: seven distinct cells, min 7.
     double_star = Gadget(
         from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (2, 3, 4, 5)
     )
     two_edges = Gadget(from_edge_list(4, [(0, 1), (2, 3)]), (0, 1, 2, 3))
-    report = min_ratio_check(double_star, two_edges, shared_cache)
+    report = min_ratio_check(double_star, two_edges)
     assert len(report.rows) == 15
     assert not report.zero_rows
     assert report.min_ratio == 7
@@ -277,7 +277,7 @@ def test_criterion_6_gadget_ratio_suites(shared_cache):
         from_edge_list(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 2), (4, 3)]),
         (0, 1, 4),
     )
-    rep_a = min_ratio_check(tailed, triangle, shared_cache)
+    rep_a = min_ratio_check(tailed, triangle)
     assert not rep_a.zero_rows
     assert Counter((r.numerator, r.denominator) for r in rep_a.rows) == Counter(
         {(81, 7): 1, (47, 3): 3, (23, 1): 1}
@@ -287,14 +287,14 @@ def test_criterion_6_gadget_ratio_suites(shared_cache):
     diamond = Gadget(
         from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), (0, 1, 2)
     )
-    rep_b = min_ratio_check(diamond, triangle, shared_cache)
+    rep_b = min_ratio_check(diamond, triangle)
     assert not rep_b.zero_rows
     assert Counter((r.numerator, r.denominator) for r in rep_b.rows) == Counter(
         {(24, 7): 1, (14, 3): 1, (10, 3): 2, (4, 1): 1}
     )
     assert rep_b.min_ratio == Fraction(10, 3)
     # Star against the three matchings: all 15 x 4 cells plus the 6/5 rule.
-    table = table2_check(shared_cache)
+    table = table2_check()
     assert len(table.rows) == 15
     assert all(row.computed == row.expected for row in table.rows)
     assert all(row.inequality_ok for row in table.rows)
@@ -319,9 +319,9 @@ def test_criterion_7_theorem_sweeps(shared_cache):
     assert time.perf_counter() - start < 1800.0
 
 
-def test_criterion_8_ring_families(shared_cache):
+def test_criterion_8_ring_families():
     k4 = catalog_entry("K4").graph
-    series = ring_family(k4, 0, 1, [1, 2, 3, 10000], cache=shared_cache)
+    series = ring_family(k4, 0, 1, [1, 2, 3, 10000])
     assert series.a_value == 24
     assert series.b_value == 10
     for row in series.rows[:3]:
@@ -331,7 +331,7 @@ def test_criterion_8_ring_families(shared_cache):
     assert series.rows[3].direct is None
     assert abs(series.rows[3].root - 48 ** 0.25) < 1e-6
     k5 = catalog_entry("K5").graph
-    series5 = ring_family(k5, 0, 1, [1, 2, 3, 10000], cache=shared_cache)
+    series5 = ring_family(k5, 0, 1, [1, 2, 3, 10000])
     assert series5.a_value == 198
     assert series5.b_value == 105
     for row in series5.rows[:3]:
@@ -360,7 +360,7 @@ def test_criterion_9_family_minima_and_ceilings(shared_cache):
                 min_bound_root = bound_root
         # Exact per-graph comparisons above make this a float formality.
         assert min_forest_root >= min_bound_root - 1e-9
-    ceiling3 = upper_bound_fd(3, cache=shared_cache)
+    ceiling3 = upper_bound_fd(3)
     assert (ceiling3.radicand, ceiling3.index, ceiling3.outer, ceiling3.inner) == (
         48,
         4,
@@ -368,7 +368,7 @@ def test_criterion_9_family_minima_and_ceilings(shared_cache):
         3,
     )
     assert ceiling3.factors == ((2, 4), (3, 1))
-    ceiling4 = upper_bound_fd(4, cache=shared_cache)
+    ceiling4 = upper_bound_fd(4)
     assert (ceiling4.radicand, ceiling4.index, ceiling4.outer, ceiling4.inner) == (
         396,
         5,

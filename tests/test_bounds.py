@@ -6,6 +6,7 @@ import pytest
 
 from forestry import (
     Gadget,
+    catalog_entry,
     count_forests,
     delete_edge,
     from_edge_list,
@@ -22,6 +23,7 @@ from forestry.bounds import (
     GREATER,
     LESS,
     BoundExpr,
+    _ring_graph,
     compare,
     set_partitions,
 )
@@ -225,6 +227,18 @@ def test_ring_family_rejects_bad_seeds():
         ring_family(cycle_graph(4), 0, 2, [1])
     with pytest.raises(ValueError):
         ring_family(complete_graph(4), 0, 1, [0])
+
+
+def test_ring_graph_matches_an_edge_list_rebuild():
+    for g in (complete_graph(4), complete_graph(5), catalog_entry("R1").graph):
+        n = g.n
+        for u, v in ((0, 1), (1, 0)):
+            assert _ring_graph(g, u, v, 1) == g
+            cut = delete_edge(g, u, v).edge_list()
+            for m in range(1, 5):
+                pairs = [(i * n + x, i * n + y) for i in range(m) for x, y in cut]
+                pairs += [(i * n + v, (i + 1) % m * n + u) for i in range(m)]
+                assert _ring_graph(g, u, v, m) == from_edge_list(m * n, pairs)
 
 
 def test_ring_family_handles_doubled_edges():

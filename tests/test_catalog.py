@@ -12,7 +12,6 @@ from forestry import (
 )
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
 from forestry.catalog import _check
-from forestry.counting import MemoCache
 from forestry.errors import CatalogMismatch
 from forestry.multigraph import degree_counts
 
@@ -150,29 +149,28 @@ def test_tree_counts_are_positive_and_below_forest_counts():
 
 def test_tampered_entries_are_rejected():
     good = catalog_entry("K4")
-    cache = MemoCache()
     bad_count = CatalogEntry(
         good.name, good.summary, good.graph, 39, good.degree_counts, good.bound, True
     )
     with pytest.raises(CatalogMismatch):
-        _check(bad_count, cache)
+        _check(bad_count)
     bad_degrees = CatalogEntry(
         good.name, good.summary, good.graph, 38, (4, 0, 0), good.bound, True
     )
     with pytest.raises(CatalogMismatch):
-        _check(bad_degrees, cache)
+        _check(bad_degrees)
     bad_bound = CatalogEntry(
         good.name, good.summary, good.graph, 38, good.degree_counts,
         BoundExpr(6, 0, 8, 10), True,
     )
     with pytest.raises(CatalogMismatch):
-        _check(bad_bound, cache)
+        _check(bad_bound)
     bad_verdict = CatalogEntry(
         good.name, good.summary, good.graph, 38, good.degree_counts,
         good.bound, False,
     )
     with pytest.raises(CatalogMismatch):
-        _check(bad_verdict, cache)
+        _check(bad_verdict)
 
 
 def test_unknown_name_raises():

@@ -49,8 +49,10 @@ def test_count_json_fields(cli):
         "m": 6,
         "forests": "38",
         "trees": "16",
-        "cache_hits": obj["cache_hits"],
+        "cache_hits": 1,
     }
+    # both commands count both numbers in JSON, the second from the cache
+    assert cli("trees", "--catalog", "K4", "--output", "json") == (0, out, "")
 
 
 def test_count_reads_files_in_both_formats(cli, tmp_path):
@@ -73,6 +75,9 @@ def test_count_cross_check(cli):
     rc, _, err = cli("count", "--catalog", "K4", "--cross-check", "--brute-cap", "3")
     assert rc == 2
     assert "error" in err
+    rc, _, err = cli("count", "--catalog", "K4", "--brute-cap", "0")
+    assert rc == 2
+    assert "--brute-cap" in err
 
 
 def test_trees_k5(cli):
@@ -136,6 +141,12 @@ def test_verify_store_then_resume(cli, tmp_path):
     )
     assert rc == 0
     assert "checked 0  skipped 15" in out
+
+
+def test_verify_resume_needs_a_store(cli):
+    rc, out, err = cli("verify", "--theorem", "1", "--max-n", "5", "--resume")
+    assert (rc, out) == (2, "")
+    assert "store" in err
 
 
 def test_verify_resume_reports_stored_violations(cli, tmp_path):
@@ -219,7 +230,11 @@ def test_constants_growth_ceilings(cli):
 
 def test_constants_bad_arguments(cli):
     assert cli("constants", "--fd", "2")[0] == 2
-    assert cli("constants", "--max-m", "0")[0] == 2
+    rc, _, err = cli("constants", "--max-m", "0")
+    assert rc == 2
+    assert "--max-m" in err
+    # --max-m only bounds the lift constants, which --fd does not compute
+    assert cli("constants", "--fd", "3", "--max-m", "0")[0] == 0
 
 
 def test_ratio_double_star_json(cli):

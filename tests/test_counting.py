@@ -349,14 +349,6 @@ def test_cache_insert_is_idempotent_but_not_mutable():
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_cache_entry_cap():
-    cache = MemoCache(max_entries=1)
-    cache.insert("F", b"a", 1)
-    cache.insert("F", b"b", 2)
-    assert len(cache) == 1
-    assert cache.lookup("F", b"b") is None
-
-
 # -- properties ----------------------------------------------------------
 
 

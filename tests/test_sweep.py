@@ -79,6 +79,15 @@ def test_resume_skips_what_is_already_stored(tmp_path):
     assert third.skipped == 8
 
 
+def test_resume_without_a_store_is_refused(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("forestry.sweep.family_levels", never)
+    with pytest.raises(ValueError, match="store"):
+        sweep_theorem("T1", 5, resume=True)
+
+
 def test_resume_keeps_stored_outcomes(tmp_path):
     store = tmp_path / "t1.jsonl"
     sweep_theorem("T1", 6, store=store)
