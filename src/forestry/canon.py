@@ -68,7 +68,7 @@ def _orbit(points, gens, fixed):
 
 
 def _search(n, adj):
-    """The least serialization, automorphism generators and the best leaf's path."""
+    """The least serialization, automorphism generators, the best leaf's path and order."""
     best = best_order = best_path = None
     gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
@@ -104,7 +104,17 @@ def _search(n, adj):
                 break
             nodes.pop()
         else:
-            return best, gens, best_path
+            return best, gens, best_path, best_order
+
+
+def search(n, adj):
+    """The key, automorphism generators and canonical order from one search.
+
+    order[i] is the vertex the key serializes at position i, so isomorphic
+    graphs map onto each other by their orders.  The generators, {v: image}
+    maps over the points they move, generate the automorphism group."""
+    best, gens, _, order = _search(n, adj)
+    return best, gens, order
 
 
 def canonical_key(n, adj):
@@ -116,7 +126,7 @@ def automorphisms(n, adj):
 
     Generators fixing the first i vertices of the best leaf's path generate
     their stabilizer: the group is a product of transversals along it."""
-    _, gens, path = _search(n, adj)
+    _, gens, path, _ = _search(n, adj)
     ident = tuple(range(n))
     group = [ident]
     for depth in reversed(range(len(path))):

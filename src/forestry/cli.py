@@ -30,7 +30,7 @@ from .counting import (
 from .errors import CatalogMismatch, ForestryError, ViolationFound
 from .families import DEFAULT_FAMILY_CAPS, enumerate_family
 from .formats import format_edge_list, format_graph6, parse_graph
-from .lifts import lift_constant
+from .lifts import DEFAULT_CONSTANT_CAP, lift_constant
 from .multigraph import canonical_key, from_edge_list
 from .sweep import THEOREMS, sweep_theorem
 
@@ -40,9 +40,14 @@ SCHEMA_VERSION = 1
 def _check_args(ns):
     """Refuse bad arguments before any real work."""
     args = vars(ns)
-    for flag in ("brute_cap", "max_n"):
-        if args.get(flag) is not None and args[flag] < 1:
-            raise ValueError(f"--{flag.replace('_', '-')} must be positive, got {args[flag]}")
+    for flag, low in (("brute_cap", 1), ("max_n", 3), ("family_cap", 3), ("n", 3)):
+        if args.get(flag) is not None and args[flag] < low:
+            name = "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} must be at least {low}, got {args[flag]}")
+    # --max-m only bounds the lift constants, which --fd does not compute
+    cap = DEFAULT_CONSTANT_CAP
+    if ns.subcommand == "constants" and ns.fd is None and not 1 <= ns.max_m <= cap:
+        raise ValueError(f"--max-m must be in 1..{cap}, got {ns.max_m}")
     if args.get("catalog") is not None:
         if args["path"] is not None:
             raise ValueError("give a file path or --catalog, not both")
@@ -235,8 +240,6 @@ def _cmd_constants(ns):
             middle = "" if factored == plain else f" = {plain}"
             print(f"d {ns.fd}  ceiling {factored}{middle} = {rb.value():.10f}")
         return 0
-    if ns.max_m < 1:
-        raise ValueError(f"--max-m must be positive, got {ns.max_m}")
     kinds = ("forests", "trees") if ns.kind == "both" else (ns.kind,)
     rows = [
         lift_constant(m, kind)

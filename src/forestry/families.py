@@ -1,17 +1,46 @@
 """Exhaustive generation of the two degree-restricted graph families.
 
 A family is the set of connected simple graphs whose degrees all lie in
-{2, 3} or in {2, 3, 4}.  Graphs are grown one vertex at a time: a new
-vertex is wired to a nonempty subset of old vertices that still have
-spare degree, so every intermediate stays connected, and isomorphic
-duplicates are discarded by canonical key at each level.  Every connected
-graph has a build order of this shape, so each family level is complete.
+{2, 3} or in {2, 3, 4}.  Graphs are grown one vertex at a time by
+canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998): a child is a parent plus a new vertex wired to
+a hook, a nonempty set of parent vertices with spare degree, so every
+graph stays connected and within the degree bound.
+
+Acceptance.  The canonical deletion vertex v(C) of a connected graph C
+is, among its non-cut vertices with the least invariant (degree, sorted
+neighbour degrees), the one first in C's canonical order.  A parent
+offers one hook per orbit of its automorphism group.  A child is
+rejected at once when some non-cut vertex has a smaller invariant than
+the new vertex, accepted without a tie-break when the new vertex alone
+holds the least invariant, and otherwise accepted only when the new
+vertex lies in the Aut(C)-orbit of v(C).  One canon search per child
+that is not rejected at once gives its key, its canonical order and
+generators of Aut(C), which it uses as a parent one level up.
+
+Each class once.  C - v(C) is connected with degrees within the bound,
+so every graph has a chain of canonical parents back to K1.  Suppose C's
+canonical parent is kept as P.  P offers a hook in the orbit of the image
+of v(C)'s neighbourhood; the child it makes is isomorphic to C by a map
+that sends v(C) to the new vertex, and v(C) is defined up to
+automorphism, so that child is accepted.  Conversely, two accepted
+children that are isomorphic have isomorphic canonical parents, hence
+one parent, and an isomorphism between them that fixes the new vertex
+restricts to an automorphism of that parent taking one hook to the
+other, hence one hook.
+
+Pruning.  _can_still_grow is a necessary condition on the degrees for a
+graph to be an induced subgraph of a member with `remaining` more
+vertices, and once it holds for remaining >= 1 it holds for every larger
+remaining.  Every graph on the canonical chain of a member of order k is
+an induced subgraph of it, so it passes at k minus its order, and hence
+at the sweep's largest order: pruning never cuts a member's chain.
 """
 
 from itertools import combinations
 
 from .errors import CapExceeded
-from .multigraph import MultiGraph, _derive, canonical_key
+from .multigraph import MultiGraph, _derive, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
@@ -24,23 +53,70 @@ def _family(degree_set):
     return ds
 
 
-def _can_still_grow(g, n_target, dmax):
-    """Cheap necessary conditions for g to extend to a family member."""
-    remaining = n_target - g.n
-    deficit = 0
-    spare = 0
-    for v in range(g.n):
-        d = g.degree(v)
-        if d < 2:
-            deficit += 2 - d
-        spare += dmax - d
-    if deficit > remaining * dmax:
-        return False
-    # the future vertices need degree 2 apiece, paid from old spare
-    # capacity or from edges among themselves
-    if 2 * remaining > spare + remaining * (remaining - 1):
-        return False
-    return True
+def _can_still_grow(degrees, remaining, dmax):
+    """Cheap necessary conditions for `remaining` new vertices to finish a member."""
+    deficit = sum(2 - d for d in degrees if d < 2)
+    spare = dmax * len(degrees) - sum(degrees)
+    # each new vertex pays at most dmax of the deficit, and needs degree 2,
+    # paid from old spare capacity or from edges among the new vertices
+    return (deficit <= remaining * dmax
+            and 2 * remaining <= spare + remaining * (remaining - 1))
+
+
+def _orbit(points, gens):
+    """The orbit of a sorted vertex tuple under the group the gens generate."""
+    orbit = {points}
+    queue = [points]
+    for s in queue:
+        for g in gens:
+            t = tuple(sorted([g.get(x, x) for x in s]))
+            if t not in orbit:
+                orbit.add(t)
+                queue.append(t)
+    return orbit
+
+
+def _hooks(open_slots, dmax, gens):
+    """One hook of at most dmax open slots per orbit of the gens' group."""
+    for k in range(1, dmax + 1):
+        offered = set()
+        for hook in combinations(open_slots, k):
+            if hook not in offered:
+                offered |= _orbit(hook, gens)
+                yield hook
+
+
+def _cuts(nbrs, u):
+    """Whether deleting u disconnects the connected graph with these neighbour lists."""
+    start = 1 if u == 0 else 0
+    seen = {u, start}
+    stack = [start]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < len(nbrs)
+
+
+def _ties(nbrs, degrees):
+    """The other non-cut vertices whose invariant equals the last vertex's,
+    or None when one has a smaller invariant.  Degree-1 vertices never cut."""
+    new = len(nbrs) - 1
+
+    def invariant(v):
+        return degrees[v], sorted([degrees[w] for w in nbrs[v]])
+
+    least = invariant(new)
+    ties = []
+    for u in range(new):
+        if degrees[u] <= least[0]:
+            x = invariant(u)
+            if x <= least and (degrees[u] == 1 or not _cuts(nbrs, u)):
+                if x < least:
+                    return None
+                ties.append(u)
+    return ties
 
 
 def family_levels(degree_set, n_max, cap=None):
@@ -59,34 +135,45 @@ def family_levels(degree_set, n_max, cap=None):
     if n_max > cap:
         raise CapExceeded("order %d exceeds the cap of %d" % (n_max, cap))
     dmax = max(ds)
-    current = [MultiGraph(1)]
-    for size in range(1, n_max):
-        grown = {}
-        members = {}
-        for g in current:
-            open_slots = [v for v in range(g.n) if g.degree(v) < dmax]
-            for k in range(1, dmax + 1):
-                for hook in combinations(open_slots, k):
-                    child = _derive(g, g.n + 1, range(g.n), [(v, g.n) for v in hook])
-                    # membership at this order is decided on its own: a
-                    # finished graph stays in the level even when it has
-                    # no spare degree left to grow with (K5 among others)
-                    done = size + 1 >= 3 and all(
-                        child.degree(v) >= 2 for v in range(child.n)
-                    )
-                    keep = size + 1 < n_max and _can_still_grow(
-                        child, n_max, dmax
-                    )
-                    if not (done or keep):
+    # (graph, neighbour lists, degrees, automorphism generators)
+    parents = [(MultiGraph(1), [()], [0], [])]
+    for n in range(2, n_max + 1):
+        new = n - 1
+        members = []
+        grown = []
+        for g, nbrs, degrees, gens in parents:
+            open_slots = [v for v in range(g.n) if degrees[v] < dmax]
+            for hook in _hooks(open_slots, dmax, gens):
+                child_degrees = degrees + [len(hook)]
+                for v in hook:
+                    child_degrees[v] += 1
+                # membership at this order is decided on its own: a
+                # finished graph stays in the level even when it has
+                # no spare degree left to grow with (K5 among others)
+                done = n >= 3 and min(child_degrees) >= 2
+                keep = n < n_max and _can_still_grow(child_degrees, n_max - n, dmax)
+                if not (done or keep):
+                    continue
+                child_nbrs = nbrs + [hook]
+                for v in hook:
+                    child_nbrs[v] += (new,)
+                ties = _ties(child_nbrs, child_degrees)
+                if ties is None:
+                    continue
+                child = _derive(g, n, range(new), [(v, new) for v in hook])
+                key, child_gens, order = canonical_search(child)
+                if ties:
+                    first = min(ties + [new], key=order.index)
+                    if (new,) not in _orbit((first,), child_gens):
                         continue
-                    key = canonical_key(child)
-                    if done and key not in members:
-                        members[key] = child
-                    if keep and key not in grown:
-                        grown[key] = child
-        current = [g for _, g in sorted(grown.items())]
-        if size + 1 >= 3:
-            yield size + 1, [g for _, g in sorted(members.items())]
+                if done:
+                    members.append((key, child))
+                if keep:
+                    grown.append((child, child_nbrs, child_degrees, child_gens))
+        parents = grown
+        if n >= 3:
+            members.sort(key=lambda member: member[0])
+            yield n, [child for _, child in members]
 
 
 def enumerate_family(n, degree_set, cap=None):

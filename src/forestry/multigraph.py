@@ -266,3 +266,13 @@ def canonical_key(g):
 def automorphisms(g):
     """All automorphisms as tuples sigma with sigma[v] the image of v."""
     return canon.automorphisms(g.n, g._adj)
+
+
+def canonical_search(g):
+    """(key, automorphism generators, canonical order) from one search.
+
+    See canon.search; the key is cached, so canonical_key(g) is free after.
+    """
+    key, gens, order = canon.search(g.n, g._adj)
+    g._key = key
+    return key, gens, order

@@ -163,7 +163,10 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
     violations = []
     equalities = []
     outcome = {}
+    started = time.perf_counter()
     for n, members in family_levels(degree_set, n_max, cap=cap):
+        log.info("%s n=%d: %d members generated in %.3f s",
+                 theorem, n, len(members), time.perf_counter() - started)
         for g in members:
             key = canonical_key(g)
             if key in done:
@@ -185,6 +188,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
             elif verdict == EQUAL:
                 equalities.append((n, key))
             outcome[key] = verdict
+        started = time.perf_counter()
 
     trouble = {}  # key -> message
     for n, key in violations:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from forestry import from_edge_list
+from forestry import canonical_key, from_edge_list
 
 
 def perm_isomorphic(g1, g2):
@@ -184,6 +184,49 @@ def rebuild(g, n, vmap, extra=()):
     pairs = [(vmap[u], vmap[v]) for u, v in g.edge_list()]
     kept = [(a, b) for a, b in pairs if a is not None and b is not None and a != b]
     return from_edge_list(n, kept + list(extra))
+
+
+def reference_family_levels(degree_set, n_max):
+    """{n: sorted member keys} for n = 3..n_max, by growing and deduplicating keys.
+
+    A child is a kept graph plus a new vertex joined to a nonempty set of
+    vertices with spare degree.  Every child of every kept graph gets a
+    canonical key; each level collects the member keys and keeps one graph
+    per key to grow from, so no symmetry or canonical-parent argument is
+    needed.
+    """
+    dmax = max(degree_set)
+
+    def can_still_grow(g):
+        remaining = n_max - g.n
+        degrees = [g.degree(v) for v in range(g.n)]
+        deficit = sum(2 - d for d in degrees if d < 2)
+        spare = sum(dmax - d for d in degrees)
+        return (deficit <= remaining * dmax
+                and 2 * remaining <= spare + remaining * (remaining - 1))
+
+    levels = {}
+    current = [from_edge_list(1, [])]
+    for n in range(2, n_max + 1):
+        grown = {}
+        members = set()
+        for g in current:
+            open_slots = [v for v in range(g.n) if g.degree(v) < dmax]
+            for k in range(1, dmax + 1):
+                for hook in combinations(open_slots, k):
+                    child = from_edge_list(n, g.edge_list() + [(v, g.n) for v in hook])
+                    done = n >= 3 and all(child.degree(v) >= 2 for v in range(n))
+                    keep = n < n_max and can_still_grow(child)
+                    if done or keep:
+                        key = canonical_key(child)
+                        if done:
+                            members.add(key)
+                        if keep:
+                            grown.setdefault(key, child)
+        current = list(grown.values())
+        if n >= 3:
+            levels[n] = sorted(members)
+    return levels
 
 
 def complete_graph(n):

@@ -19,6 +19,7 @@ from forestry import canon
 from oracles import (
     _reference_first_cell,
     _reference_refine,
+    _reference_serialize,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -116,10 +117,27 @@ def _raw(n, mults):
 
 
 def _assert_matches_reference(n, adj):
-    assert canon.canonical_key(n, adj) == reference_canonical_key(n, adj)
+    key = reference_canonical_key(n, adj)
+    assert canon.canonical_key(n, adj) == key
     auts = canon.automorphisms(n, adj)
     assert len(auts) == len(set(auts))
-    assert set(auts) == set(reference_automorphisms(n, adj))
+    reference_group = set(reference_automorphisms(n, adj))
+    assert set(auts) == reference_group
+    # one search gives the key, a canonical order and generators
+    found, gens, order = canon.search(n, adj)
+    assert found == key
+    assert sorted(order) == list(range(n))
+    assert _reference_serialize(n, adj, [0] * n, order) == key
+    for g in gens:
+        sigma = [g.get(v, v) for v in range(n)]
+        assert sigma != list(range(n))
+        assert all(adj[sigma[v]] == {sigma[w]: t for w, t in adj[v].items()} for v in range(n))
+    # the generators reach every automorphic image of each vertex
+    for v in range(n):
+        orbit = [v]
+        for x in orbit:
+            orbit += [g[x] for g in gens if g.get(x, x) not in orbit]
+        assert set(orbit) == {a[v] for a in reference_group}
 
 
 @st.composite

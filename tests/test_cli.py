@@ -237,6 +237,38 @@ def test_constants_bad_arguments(cli):
     assert cli("constants", "--fd", "3", "--max-m", "0")[0] == 0
 
 
+def test_max_m_above_the_cap_is_refused_before_any_work(cli, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("lift_constant called")
+
+    monkeypatch.setattr("forestry.cli.lift_constant", never)
+    rc, out, err = cli("constants", "--max-m", "9")
+    assert (rc, out) == (2, "")
+    assert "--max-m" in err and "1..5" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("family", "--degrees", "23", "--n", "4", "--family-cap", "0"), "--family-cap"),
+        (("family", "--degrees", "234", "--n", "4", "--family-cap", "2"), "--family-cap"),
+        (("verify", "--theorem", "1", "--max-n", "5", "--family-cap", "2"), "--family-cap"),
+        (("verify", "--theorem", "2", "--max-n", "2"), "--max-n"),
+        (("family", "--degrees", "23", "--n", "2"), "--n"),
+        (("family", "--degrees", "234", "--n", "-1"), "--n"),
+    ],
+)
+def test_family_range_errors_name_the_flag(cli, monkeypatch, argv, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr("forestry.cli.enumerate_family", never)
+    monkeypatch.setattr("forestry.cli.sweep_theorem", never)
+    rc, out, err = cli(*argv)
+    assert (rc, out) == (2, "")
+    assert f"error: {flag} must be at least 3" in err
+
+
 def test_ratio_double_star_json(cli):
     rc, out, _ = cli("ratio", "--suite", "double-star", "--output", "json")
     assert rc == 0

@@ -6,7 +6,7 @@ from forestry import canonical_key, catalog_entry, from_edge_list, is_connected
 from forestry.errors import CapExceeded
 from forestry.families import enumerate_family, family_levels
 
-from oracles import complete_graph, cycle_graph
+from oracles import complete_graph, cycle_graph, reference_family_levels
 
 
 def keys_of(graphs):
@@ -116,6 +116,23 @@ def test_soundness_at_order_nine():
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert g.multiplicity(u, v) <= 1
+
+
+LEVEL_SIZES = {
+    (2, 3): {3: 1, 4: 3, 5: 4, 6: 11, 7: 21, 8: 60, 9: 148, 10: 458},
+    (2, 3, 4): {3: 1, 4: 3, 5: 11, 6: 38, 7: 163, 8: 884},
+}
+
+
+@pytest.mark.parametrize("degree_set", sorted(LEVEL_SIZES))
+def test_levels_match_the_dedup_by_key_generator(degree_set):
+    sizes = LEVEL_SIZES[degree_set]
+    got = {
+        n: [canonical_key(g) for g in members]
+        for n, members in family_levels(degree_set, max(sizes))
+    }
+    assert {n: len(keys) for n, keys in got.items()} == sizes
+    assert got == reference_family_levels(degree_set, max(sizes))
 
 
 def test_levels_do_not_depend_on_the_horizon():

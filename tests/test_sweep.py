@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from dataclasses import replace
 
 import pytest
@@ -46,6 +48,15 @@ def test_sweep_below_the_exceptional_orders_is_clean():
     summary = sweep_theorem("T2", 3)
     assert summary.violations == ()
     assert summary.checked == 1
+
+
+def test_sweep_logs_one_line_per_level(caplog):
+    with caplog.at_level(logging.INFO, logger="forestry.sweep"):
+        sweep_theorem("T1", 5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "forestry.sweep"]
+    assert len(lines) == 3
+    for (n, count), line in zip(((3, 1), (4, 3), (5, 4)), lines):
+        assert re.fullmatch(rf"T1 n={n}: {count} members generated in \d+\.\d{{3}} s", line)
 
 
 def test_store_contents_round_trip(tmp_path):
