@@ -1,10 +1,10 @@
 """Lower-bound expressions for forest counts and the ring construction.
 
 A BoundExpr is 2^(a/s) * 3^(b/s) * 198^(c/s) with integer a, b, c and a
-common denominator s.  p_bound covers graphs with all degrees in {2,3},
-q_bound covers {2,3,4}; comparisons against an exact count raise both
-sides to the s-th power and compare big integers, so no verdict ever
-rests on floating point.
+common denominator s.  p_bound covers connected graphs with all degrees
+in {2,3}, q_bound covers {2,3,4}; comparisons against an exact count
+raise both sides to the s-th power and compare big integers, so no
+verdict ever rests on floating point.
 
 ring_family chains m edited copies of a seed graph into a ring and
 checks the closed form 2^m A^m - B^m for the number of spanning
@@ -75,26 +75,27 @@ class BoundExpr:
         return text
 
 
-def p_bound(g):
-    """Lower bound for graphs whose degrees all lie in {2, 3}."""
+def degree_profile(g, degrees=(2, 3, 4)):
+    """(n2, n3, n4) of a connected graph whose degrees all lie in `degrees`."""
     counts = degree_counts(g)
-    if any(d not in (2, 3) for d in counts):
-        bad = sorted(d for d in counts if d not in (2, 3))
-        raise DegreeOutOfFamily(f"degrees {bad} are outside {{2, 3}}")
-    n2 = counts.get(2, 0)
-    n3 = counts.get(3, 0)
+    bad = sorted(d for d in counts if d not in degrees)
+    if bad:
+        allowed = ", ".join(map(str, degrees))
+        raise DegreeOutOfFamily(f"degrees {bad} are outside {{{allowed}}}")
+    if not is_connected(g):
+        raise Disconnected("the bounds are stated for connected graphs")
+    return counts.get(2, 0), counts.get(3, 0), counts.get(4, 0)
+
+
+def p_bound(g):
+    """Lower bound for connected graphs whose degrees all lie in {2, 3}."""
+    n2, n3, _ = degree_profile(g, (2, 3))
     return BoundExpr(a=4 * (n2 + n3 - 1), b=n3 + 2, c=0, s=4)
 
 
 def q_bound(g):
-    """Lower bound for graphs whose degrees all lie in {2, 3, 4}."""
-    counts = degree_counts(g)
-    if any(d not in (2, 3, 4) for d in counts):
-        bad = sorted(d for d in counts if d not in (2, 3, 4))
-        raise DegreeOutOfFamily(f"degrees {bad} are outside {{2, 3, 4}}")
-    n2 = counts.get(2, 0)
-    n3 = counts.get(3, 0)
-    n4 = counts.get(4, 0)
+    """Lower bound for connected graphs whose degrees all lie in {2, 3, 4}."""
+    n2, n3, n4 = degree_profile(g)
     return BoundExpr(a=10 * n2 + 6 * n3 + 2 * n4 - 18, b=0, c=n3 + 2 * n4 + 2, s=10)
 
 

@@ -1,16 +1,18 @@
 """A library of named graphs with frozen forest counts.
 
+Each entry stores only what cannot be derived: its name, a summary, the
+graph, its forest count and whether the degree-{2, 3, 4} bound holds.
 Every entry is rebuilt from its edge list and re-counted on first access;
-a disagreement with the stored expectation raises CatalogMismatch instead
-of letting a bad transcription leak into downstream checks.
+a disagreement with the stored count or verdict raises CatalogMismatch
+instead of letting a bad transcription leak into downstream checks.
 """
 
 from dataclasses import dataclass
 
-from .bounds import LESS, BoundExpr, compare, q_bound
+from .bounds import LESS, compare, degree_profile, q_bound
 from .counting import count_forests
 from .errors import CatalogMismatch
-from .multigraph import MultiGraph, degree_counts, from_edge_list
+from .multigraph import MultiGraph, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -19,9 +21,17 @@ class CatalogEntry:
     summary: str
     graph: MultiGraph
     forests: int
-    degree_counts: tuple  # (number of degree-2, degree-3, degree-4 vertices)
-    bound: BoundExpr
     holds: bool  # forests >= bound
+
+    @property
+    def degree_counts(self):
+        """How many vertices have degree 2, 3 and 4."""
+        return degree_profile(self.graph)
+
+    @property
+    def bound(self):
+        """The degree-{2, 3, 4} lower bound of the graph."""
+        return q_bound(self.graph)
 
 
 def _clique(n, shift=0):
@@ -36,7 +46,7 @@ def _octahedron():
     return [(u, v) for u, v in _clique(6) if (u, v) not in ((0, 1), (2, 3), (4, 5))]
 
 
-# name, summary, vertex count, edges, forests, (n2, n3, n4), (a, c), holds
+# name, summary, vertex count, edges, forests, holds
 _RAW = [
     (
         "K3",
@@ -44,8 +54,6 @@ _RAW = [
         3,
         _clique(3),
         7,
-        (3, 0, 0),
-        (12, 2),
         True,
     ),
     (
@@ -54,8 +62,6 @@ _RAW = [
         4,
         _clique(4),
         38,
-        (0, 4, 0),
-        (6, 6),
         True,
     ),
     (
@@ -64,8 +70,6 @@ _RAW = [
         4,
         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
         24,
-        (2, 2, 0),
-        (14, 4),
         True,
     ),
     (
@@ -74,8 +78,6 @@ _RAW = [
         5,
         _clique(5),
         291,
-        (0, 0, 5),
-        (-8, 12),
         False,
     ),
     (
@@ -84,8 +86,6 @@ _RAW = [
         5,
         [(u, v) for u, v in _clique(5) if (u, v) != (0, 1)],
         198,
-        (0, 2, 3),
-        (0, 10),
         True,
     ),
     (
@@ -94,8 +94,6 @@ _RAW = [
         6,
         _octahedron(),
         1083,
-        (0, 0, 6),
-        (-6, 14),
         False,
     ),
     (
@@ -104,8 +102,6 @@ _RAW = [
         6,
         [(i, 3 + j) for i in range(3) for j in range(3)],
         328,
-        (0, 6, 0),
-        (18, 8),
         True,
     ),
     (
@@ -114,8 +110,6 @@ _RAW = [
         6,
         _prism(),
         314,
-        (0, 6, 0),
-        (18, 8),
         True,
     ),
     (
@@ -124,8 +118,6 @@ _RAW = [
         5,
         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)],
         86,
-        (1, 4, 0),
-        (16, 6),
         True,
     ),
     (
@@ -134,8 +126,6 @@ _RAW = [
         6,
         [(u, v) for u, v in _clique(5) if (u, v) != (0, 1)] + [(0, 5), (1, 5)],
         687,
-        (1, 0, 5),
-        (2, 12),
         True,
     ),
     (
@@ -144,8 +134,6 @@ _RAW = [
         7,
         [(u, v) for u, v in _octahedron() if (u, v) != (0, 2)] + [(0, 6), (2, 6)],
         2527,
-        (1, 0, 6),
-        (4, 14),
         True,
     ),
     (
@@ -154,8 +142,6 @@ _RAW = [
         5,
         _clique(4) + [(4, 0), (4, 1)],
         128,
-        (1, 2, 2),
-        (8, 8),
         True,
     ),
     (
@@ -164,8 +150,6 @@ _RAW = [
         5,
         _clique(4) + [(4, 0), (4, 1), (4, 2)],
         198,
-        (0, 2, 3),
-        (0, 10),
         True,
     ),
     (
@@ -174,8 +158,6 @@ _RAW = [
         6,
         _clique(4) + [(4, 0), (4, 1), (5, 2), (5, 3)],
         431,
-        (2, 0, 4),
-        (10, 10),
         True,
     ),
     (
@@ -184,8 +166,6 @@ _RAW = [
         6,
         _clique(4) + [(4, 0), (4, 1), (5, 2), (5, 3), (4, 5)],
         722,
-        (0, 2, 4),
-        (2, 12),
         True,
     ),
     (
@@ -194,8 +174,6 @@ _RAW = [
         4,
         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
         24,
-        (2, 2, 0),
-        (14, 4),
         True,
     ),
     (
@@ -204,8 +182,6 @@ _RAW = [
         5,
         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 2), (4, 3)],
         81,
-        (3, 0, 2),
-        (16, 6),
         True,
     ),
     (
@@ -214,8 +190,6 @@ _RAW = [
         8,
         _clique(4) + _clique(4, 4) + [(0, 4), (1, 5), (2, 6), (3, 7)],
         14381,
-        (0, 0, 8),
-        (-2, 18),
         True,
     ),
     (
@@ -227,8 +201,6 @@ _RAW = [
         + [(8, 0), (8, 1), (8, 2), (8, 3)]
         + [(0, 4), (1, 5), (2, 6), (3, 7)],
         52485,
-        (0, 0, 9),
-        (0, 20),
         True,
     ),
     (
@@ -238,8 +210,6 @@ _RAW = [
         _clique(4)
         + [(4, 0), (4, 1), (5, 2), (5, 3), (4, 5), (4, 6), (5, 6)],
         2457,
-        (1, 0, 6),
-        (4, 14),
         True,
     ),
     (
@@ -248,8 +218,6 @@ _RAW = [
         7,
         [(i, 4 + j) for i in range(4) for j in range(3)] + [(0, 1), (2, 3)],
         4061,
-        (0, 0, 7),
-        (-4, 16),
         True,
     ),
     (
@@ -275,8 +243,6 @@ _RAW = [
             (4, 6),
         ],
         14763,
-        (0, 0, 8),
-        (-2, 18),
         True,
     ),
     (
@@ -300,8 +266,6 @@ _RAW = [
             (5, 6),
         ],
         4019,
-        (0, 0, 7),
-        (-4, 16),
         True,
     ),
     (
@@ -329,8 +293,6 @@ _RAW = [
             (7, 8),
         ],
         57631,
-        (0, 0, 9),
-        (0, 20),
         True,
     ),
     (
@@ -358,8 +320,6 @@ _RAW = [
             (7, 8),
         ],
         58975,
-        (0, 0, 9),
-        (0, 20),
         True,
     ),
     (
@@ -369,8 +329,6 @@ _RAW = [
         _prism() + [(6, 7), (7, 8), (6, 8)]
         + [(6, 0), (6, 3), (7, 1), (7, 4), (8, 2), (8, 5)],
         57631,
-        (0, 0, 9),
-        (0, 20),
         True,
     ),
     (
@@ -380,8 +338,6 @@ _RAW = [
         _prism() + [(6, 7), (7, 8), (6, 8)]
         + [(6, 0), (6, 4), (7, 1), (7, 3), (8, 2), (8, 5)],
         58417,
-        (0, 0, 9),
-        (0, 20),
         True,
     ),
     (
@@ -391,8 +347,6 @@ _RAW = [
         _prism() + [(6, 7), (7, 8), (6, 8)]
         + [(6, 0), (6, 5), (7, 1), (7, 4), (8, 2), (8, 3)],
         56101,
-        (0, 0, 9),
-        (0, 20),
         True,
     ),
 ]
@@ -401,23 +355,11 @@ _ENTRIES = None
 
 
 def _check(entry):
-    g = entry.graph
-    actual = count_forests(g)
+    actual = count_forests(entry.graph)
     if actual != entry.forests:
         raise CatalogMismatch(
             "%s: counted %d forests, catalog says %d"
             % (entry.name, actual, entry.forests)
-        )
-    counts = degree_counts(g)
-    seen = (counts.get(2, 0), counts.get(3, 0), counts.get(4, 0))
-    if seen != entry.degree_counts or sum(seen) != g.n:
-        raise CatalogMismatch(
-            "%s: degree profile %r, catalog says %r"
-            % (entry.name, seen, entry.degree_counts)
-        )
-    if q_bound(g) != entry.bound:
-        raise CatalogMismatch(
-            "%s: bound %s, catalog says %s" % (entry.name, q_bound(g), entry.bound)
         )
     if (compare(entry.forests, entry.bound) != LESS) != entry.holds:
         raise CatalogMismatch("%s: bound verdict flipped" % entry.name)
@@ -428,16 +370,8 @@ def catalog():
     global _ENTRIES
     if _ENTRIES is None:
         entries = []
-        for name, summary, n, edges, forests, degs, (a, c), holds in _RAW:
-            entry = CatalogEntry(
-                name,
-                summary,
-                from_edge_list(n, edges),
-                forests,
-                degs,
-                BoundExpr(a, 0, c, 10),
-                holds,
-            )
+        for name, summary, n, edges, forests, holds in _RAW:
+            entry = CatalogEntry(name, summary, from_edge_list(n, edges), forests, holds)
             _check(entry)
             entries.append(entry)
         _ENTRIES = tuple(entries)

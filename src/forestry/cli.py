@@ -9,11 +9,13 @@ cross-check disagreement), 2 usage or input errors.
 
 import argparse
 import json
+import signal
 import sys
 
 from .bounds import (
     Gadget,
     compare,
+    degree_profile,
     min_ratio_check,
     p_bound,
     q_bound,
@@ -111,8 +113,7 @@ def _cmd_bound(ns):
     g = _load_graph(ns)
     which = ns.which
     if which == "auto":
-        degrees = {g.degree(v) for v in range(g.n)}
-        which = "p" if degrees <= {2, 3} else "q"
+        which = "q" if degree_profile(g)[2] else "p"
     expr = (p_bound if which == "p" else q_bound)(g)
     forests = count_forests(g)
     verdict = compare(forests, expr)
@@ -632,6 +633,9 @@ def main(argv=None):
 
 
 def entry():
+    # a reader that stops early, as in `forestry catalog | head`, ends us quietly
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

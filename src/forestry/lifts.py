@@ -21,6 +21,7 @@ from math import prod
 from .counting import count_forests, count_trees
 from .errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
 from .multigraph import (
+    MultiGraph,
     _build,
     _derive,
     _without,

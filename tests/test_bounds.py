@@ -114,6 +114,20 @@ def test_degree_family_guards():
         q_bound(from_edge_list(2, [(0, 1)]))
 
 
+def test_the_bounds_refuse_disconnected_graphs():
+    two_triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for bound in (p_bound, q_bound):
+        with pytest.raises(Disconnected):
+            bound(two_triangles)
+    # degrees are checked first: an isolated vertex or a pendant edge is out
+    # of the family before the missing connection is looked at
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for g in (from_edge_list(4, triangle), from_edge_list(5, triangle + [(3, 4)])):
+        for bound in (p_bound, q_bound):
+            with pytest.raises(DegreeOutOfFamily):
+                bound(g)
+
+
 def test_compare_is_exact_near_the_boundary():
     b = BoundExpr(3, 0, 0, 1)
     assert compare(7, b) == LESS

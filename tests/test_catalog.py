@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from forestry import (
@@ -9,41 +11,44 @@ from forestry import (
     count_forests,
     count_trees,
     p_bound,
+    q_bound,
 )
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
 from forestry.catalog import _check
+from forestry.cli import main
 from forestry.errors import CatalogMismatch
 from forestry.multigraph import degree_counts
 
+# name: forests, (n2, n3, n4), exponents (a, c) of q = 2^(a/10) 198^(c/10), holds
 GOLDEN = {
-    "K3": 7,
-    "K4": 38,
-    "K4-e": 24,
-    "K5": 291,
-    "K5-e": 198,
-    "K6-": 1083,
-    "K33": 328,
-    "R1": 314,
-    "R2": 86,
-    "X6": 687,
-    "X7": 2527,
-    "Y5": 128,
-    "Y5p": 198,
-    "Y6": 431,
-    "Y6p": 722,
-    "D4": 24,
-    "D5": 81,
-    "H1": 14381,
-    "H2": 52485,
-    "H3": 2457,
-    "H4": 4061,
-    "H5": 14763,
-    "H6": 4019,
-    "H7": 57631,
-    "H8": 58975,
-    "Z1": 57631,
-    "Z2": 58417,
-    "Z3": 56101,
+    "K3": (7, (3, 0, 0), (12, 2), True),
+    "K4": (38, (0, 4, 0), (6, 6), True),
+    "K4-e": (24, (2, 2, 0), (14, 4), True),
+    "K5": (291, (0, 0, 5), (-8, 12), False),
+    "K5-e": (198, (0, 2, 3), (0, 10), True),
+    "K6-": (1083, (0, 0, 6), (-6, 14), False),
+    "K33": (328, (0, 6, 0), (18, 8), True),
+    "R1": (314, (0, 6, 0), (18, 8), True),
+    "R2": (86, (1, 4, 0), (16, 6), True),
+    "X6": (687, (1, 0, 5), (2, 12), True),
+    "X7": (2527, (1, 0, 6), (4, 14), True),
+    "Y5": (128, (1, 2, 2), (8, 8), True),
+    "Y5p": (198, (0, 2, 3), (0, 10), True),
+    "Y6": (431, (2, 0, 4), (10, 10), True),
+    "Y6p": (722, (0, 2, 4), (2, 12), True),
+    "D4": (24, (2, 2, 0), (14, 4), True),
+    "D5": (81, (3, 0, 2), (16, 6), True),
+    "H1": (14381, (0, 0, 8), (-2, 18), True),
+    "H2": (52485, (0, 0, 9), (0, 20), True),
+    "H3": (2457, (1, 0, 6), (4, 14), True),
+    "H4": (4061, (0, 0, 7), (-4, 16), True),
+    "H5": (14763, (0, 0, 8), (-2, 18), True),
+    "H6": (4019, (0, 0, 7), (-4, 16), True),
+    "H7": (57631, (0, 0, 9), (0, 20), True),
+    "H8": (58975, (0, 0, 9), (0, 20), True),
+    "Z1": (57631, (0, 0, 9), (0, 20), True),
+    "Z2": (58417, (0, 0, 9), (0, 20), True),
+    "Z3": (56101, (0, 0, 9), (0, 20), True),
 }
 
 
@@ -55,7 +60,7 @@ def test_every_expected_name_is_present_once():
 
 def test_golden_forest_counts():
     for entry in catalog():
-        assert entry.forests == GOLDEN[entry.name]
+        assert entry.forests == GOLDEN[entry.name][0]
         assert count_forests(entry.graph) == entry.forests
 
 
@@ -96,17 +101,29 @@ def test_p_bound_verdicts_on_the_cubic_entries():
         assert compare(entry.forests, p_bound(entry.graph)) == verdict
 
 
-def test_degree_counts_match_the_bound_exponents():
-    for entry in catalog():
-        n2, n3, n4 = entry.degree_counts
-        counts = degree_counts(entry.graph)
-        assert counts == {
-            d: c for d, c in ((2, n2), (3, n3), (4, n4)) if c
-        }
-        assert entry.bound.a == 10 * n2 + 6 * n3 + 2 * n4 - 18
-        assert entry.bound.c == n3 + 2 * n4 + 2
-        # the degree profile is recoverable from the printed exponents
-        assert n2 + n3 + n4 == entry.graph.n
+def test_pinned_profiles_bounds_and_verdicts():
+    for name, (forests, profile, (a, c), holds) in GOLDEN.items():
+        entry = catalog_entry(name)
+        g = entry.graph
+        n2, n3, n4 = profile
+        assert degree_counts(g) == {d: k for d, k in ((2, n2), (3, n3), (4, n4)) if k}
+        assert entry.degree_counts == profile
+        assert q_bound(g) == entry.bound == BoundExpr(a, 0, c, 10)
+        # the exponents follow from the profile
+        assert (a, c) == (10 * n2 + 6 * n3 + 2 * n4 - 18, n3 + 2 * n4 + 2)
+        assert (compare(forests, q_bound(g)) != LESS) == entry.holds == holds
+
+
+def test_catalog_json_prints_the_pinned_profiles_and_bounds(capsys):
+    assert main(["catalog", "--output", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["name"] for e in entries] == list(GOLDEN)
+    for e in entries:
+        forests, profile, (a, c), holds = GOLDEN[e["name"]]
+        assert e["forests"] == str(forests)
+        assert e["degree_counts"] == list(profile)
+        assert e["bound"] == str(BoundExpr(a, 0, c, 10))
+        assert e["holds"] is holds
 
 
 def test_coinciding_counts_come_from_coinciding_graphs():
@@ -149,28 +166,13 @@ def test_tree_counts_are_positive_and_below_forest_counts():
 
 def test_tampered_entries_are_rejected():
     good = catalog_entry("K4")
-    bad_count = CatalogEntry(
-        good.name, good.summary, good.graph, 39, good.degree_counts, good.bound, True
-    )
+    bad_count = CatalogEntry(good.name, good.summary, good.graph, 39, True)
     with pytest.raises(CatalogMismatch):
         _check(bad_count)
-    bad_degrees = CatalogEntry(
-        good.name, good.summary, good.graph, 38, (4, 0, 0), good.bound, True
-    )
-    with pytest.raises(CatalogMismatch):
-        _check(bad_degrees)
-    bad_bound = CatalogEntry(
-        good.name, good.summary, good.graph, 38, good.degree_counts,
-        BoundExpr(6, 0, 8, 10), True,
-    )
-    with pytest.raises(CatalogMismatch):
-        _check(bad_bound)
-    bad_verdict = CatalogEntry(
-        good.name, good.summary, good.graph, 38, good.degree_counts,
-        good.bound, False,
-    )
+    bad_verdict = CatalogEntry(good.name, good.summary, good.graph, 38, False)
     with pytest.raises(CatalogMismatch):
         _check(bad_verdict)
+    _check(CatalogEntry(good.name, good.summary, good.graph, 38, True))
 
 
 def test_unknown_name_raises():

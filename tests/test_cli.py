@@ -108,6 +108,14 @@ def test_bound_rejects_wrong_family(cli):
     assert "error" in err
 
 
+def test_bound_refuses_disconnected_input(cli):
+    two_triangles = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
+    for which in ("auto", "p", "q"):
+        rc, out, err = cli("bound", "--which", which, stdin=two_triangles)
+        assert (rc, out) == (2, "")
+        assert "connected" in err
+
+
 def test_verify_theorem1_text_summary(cli):
     rc, out, _ = cli("verify", "--theorem", "1", "--max-n", "6")
     assert rc == 0
@@ -392,3 +400,16 @@ def test_console_module_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout == "38\n"
+
+
+def test_a_closed_pipe_ends_the_command_quietly():
+    # the reader goes away before a line is written, as `| head -0` would
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forestry.cli", "catalog"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait()
+    assert err == b""

@@ -1,8 +1,11 @@
+import dataclasses
 import random
+import typing
 from fractions import Fraction
 
 import pytest
 
+import forestry
 from forestry import (
     MemoCache,
     canonical_key,
@@ -315,3 +318,12 @@ def test_tree_count_shrinks_by_at_most_the_constant():
                 continue
             assert Fraction(tg) >= constants[m] * count_trees(result, cache)
         done += 1
+
+
+def test_type_hints_of_the_exported_dataclasses_resolve():
+    exported = [getattr(forestry, name) for name in forestry.__all__]
+    classes = [c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert forestry.LiftConstant in classes and forestry.CatalogEntry in classes
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        assert set(hints) >= {f.name for f in dataclasses.fields(cls)}
