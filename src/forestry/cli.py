@@ -46,9 +46,15 @@ def _check_args(ns):
         if args.get(flag) is not None and args[flag] < low:
             name = "--" + flag.replace("_", "-")
             raise ValueError(f"{name} must be at least {low}, got {args[flag]}")
-    # --max-m only bounds the lift constants, which --fd does not compute
+    if ns.subcommand == "count" and ns.brute_cap is not None and not ns.cross_check:
+        raise ValueError("--brute-cap only applies with --cross-check")
+    if ns.subcommand == "constants" and ns.fd is not None:
+        # --max-m and --kind choose lift constants, which --fd does not compute
+        for flag in ("max_m", "kind"):
+            if args[flag] is not None:
+                raise ValueError(f"--fd takes no --{flag.replace('_', '-')}")
     cap = DEFAULT_CONSTANT_CAP
-    if ns.subcommand == "constants" and ns.fd is None and not 1 <= ns.max_m <= cap:
+    if args.get("max_m") is not None and not 1 <= ns.max_m <= cap:
         raise ValueError(f"--max-m must be in 1..{cap}, got {ns.max_m}")
     if args.get("catalog") is not None:
         if args["path"] is not None:
@@ -86,7 +92,7 @@ def _cmd_count(ns):
     g = _load_graph(ns)
     value = (count_forests if ns.subcommand == "count" else count_trees)(g, cache)
     if getattr(ns, "cross_check", False):
-        brute = count_forests_bruteforce(g, cap=ns.brute_cap)
+        brute = count_forests_bruteforce(g, cap=ns.brute_cap or 24)
         if brute != value:
             print(
                 f"error: engine counts {value} forests, brute force {brute}",
@@ -241,10 +247,10 @@ def _cmd_constants(ns):
             middle = "" if factored == plain else f" = {plain}"
             print(f"d {ns.fd}  ceiling {factored}{middle} = {rb.value():.10f}")
         return 0
-    kinds = ("forests", "trees") if ns.kind == "both" else (ns.kind,)
+    kinds = (ns.kind,) if ns.kind in ("forests", "trees") else ("forests", "trees")
     rows = [
         lift_constant(m, kind)
-        for m in range(1, ns.max_m + 1)
+        for m in range(1, (ns.max_m or 3) + 1)
         for kind in kinds
     ]
     if ns.output == "json":
@@ -481,7 +487,7 @@ def build_parser():
     p.add_argument(
         "--brute-cap",
         type=int,
-        default=24,
+        default=None,
         metavar="M",
         help="refuse --cross-check beyond M edges (default: 24)",
     )
@@ -570,14 +576,14 @@ def build_parser():
     p.add_argument(
         "--max-m",
         type=int,
-        default=3,
+        default=None,
         metavar="M",
         help="compute constants for half-degrees 1..M (default: 3)",
     )
     p.add_argument(
         "--kind",
         choices=("forests", "trees", "both"),
-        default="both",
+        default=None,
         help="which count the constant governs (default: both)",
     )
     p.add_argument(

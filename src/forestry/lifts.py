@@ -14,6 +14,7 @@ a complete lift.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -66,6 +67,36 @@ def _endpoint_multiset(g, x):
     return out
 
 
+def _pairings(ends, host=None):
+    """Each pairing of the sorted list ends once, as a sorted tuple of pairs.
+
+    No pair joins two equal ends, nor, given host, two ends already
+    adjacent in it.  Pairings come out in lexicographic order.
+    """
+
+    def rec(rest, acc):
+        if not rest:
+            yield tuple(acc)
+            return
+        a = rest[0]
+        # a pair repeating the previous first end takes no smaller partner,
+        # so every multiset of pairs is built in sorted order only
+        low = acc[-1][1] if acc and acc[-1][0] == a else a
+        last = None
+        for i in range(1, len(rest)):
+            b = rest[i]
+            if b == a or b == last or b < low:
+                continue
+            last = b
+            if host is not None and host.multiplicity(a, b):
+                continue
+            acc.append((a, b))
+            yield from rec(rest[1:i] + rest[i + 1 :], acc)
+            acc.pop()
+
+    return rec(ends, [])
+
+
 def lift_feasible_multigraph(g, x):
     """Can some complete lift of x leave a connected multigraph?
 
@@ -92,19 +123,7 @@ def lift_feasible_simple(g, x):
     if d > SIMPLE_SEARCH_DEGREE_CAP:
         raise CapExceeded(f"degree {d} exceeds the pairing-search cap")
     _half_degree(g, x)
-    nbrs = sorted(g.neighbors(x))
-
-    def match(rest):
-        if not rest:
-            return True
-        a = rest[0]
-        for i in range(1, len(rest)):
-            if g.multiplicity(a, rest[i]) == 0:
-                if match(rest[1:i] + rest[i + 1 :]):
-                    return True
-        return False
-
-    return match(nbrs)
+    return next(_pairings(sorted(g.neighbors(x)), g), None) is not None
 
 
 def _validate_plan(g, x, plan, simple):
@@ -144,30 +163,11 @@ def enumerate_lifts(g, x, simple=False):
     result, and come out in lexicographic order.
     """
     _half_degree(g, x)
-    ends = _endpoint_multiset(g, x)
-    pairings = []
-
-    def rec(rest, acc):
-        if not rest:
-            pairings.append(tuple(acc))
-            return
-        a = rest[0]
-        tried = set()
-        for i in range(1, len(rest)):
-            b = rest[i]
-            if b == a or b in tried:
-                continue
-            tried.add(b)
-            acc.append((a, b))
-            rec(rest[1:i] + rest[i + 1 :], acc)
-            acc.pop()
-
-    rec(ends, [])
-    out = []
-    for pairing in pairings:
-        if not (simple and any(g.multiplicity(a, b) for a, b in pairing)):
-            out.append((LiftPlan(x, pairing), _lift(g, x, pairing)))
-    return out
+    host = g if simple else None
+    return [
+        (LiftPlan(x, pairing), _lift(g, x, pairing))
+        for pairing in _pairings(_endpoint_multiset(g, x), host)
+    ]
 
 
 def _partitions(total):
@@ -184,41 +184,18 @@ def _partitions(total):
 
 
 def graphs_with_degrees(seq):
-    """Connected loopless multigraphs with the given degree sequence, up to iso."""
+    """Connected loopless multigraphs with the given degree sequence, up to iso.
+
+    Each graph is a pairing of the ends, vertex v repeated seq[v] times;
+    the first graph of each isomorphism class is kept.
+    """
     k = len(seq)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    rem = list(seq)
-    seen = set()
-    found = []
-
-    def rec(idx, mults):
-        if idx == len(pairs):
-            if any(rem):
-                return
-            g = _build(k, dict(mults))
-            if is_connected(g):
-                key = canonical_key(g)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(g)
-            return
-        i, j = pairs[idx]
-        # every pair touching a vertex below i is behind us
-        if any(rem[v] for v in range(i)):
-            return
-        for t in range(min(rem[i], rem[j]), -1, -1):
-            rem[i] -= t
-            rem[j] -= t
-            if t:
-                mults.append(((i, j), t))
-            rec(idx + 1, mults)
-            if t:
-                mults.pop()
-            rem[i] += t
-            rem[j] += t
-
-    rec(0, [])
-    return found
+    found = {}
+    for pairing in _pairings([v for v in range(k) for _ in range(seq[v])]):
+        g = _build(k, Counter(pairing))
+        if is_connected(g):
+            found.setdefault(canonical_key(g), g)
+    return list(found.values())
 
 
 def lift_constant(m, kind="forests", cap=DEFAULT_CONSTANT_CAP, cache=None):

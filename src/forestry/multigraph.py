@@ -14,7 +14,7 @@ from .errors import EdgeAbsent, LoopRejected, VertexOutOfRange
 
 
 class MultiGraph:
-    __slots__ = ("n", "_adj", "_m", "_key")
+    __slots__ = ("n", "_adj", "_key")
 
     def __init__(self, n, adj=None):
         # adj is a list of {neighbor: multiplicity} dicts with ascending
@@ -24,13 +24,12 @@ class MultiGraph:
             raise VertexOutOfRange(f"vertex count {n} is negative")
         self.n = n
         self._adj = [{} for _ in range(n)] if adj is None else adj
-        self._m = sum(sum(d.values()) for d in self._adj) // 2
         self._key = None
 
     @property
     def m(self):
         """Edge count, counting multiplicities."""
-        return self._m
+        return sum(sum(d.values()) for d in self._adj) // 2
 
     def degree(self, v):
         self._check(v)

@@ -229,6 +229,87 @@ def reference_family_levels(degree_set, n_max):
     return levels
 
 
+def reference_simple_lift_exists(g, x):
+    """Is there a perfect matching on N(x) using only pairs not adjacent in g?
+
+    A search that pairs the first neighbour with each later one it may
+    join and stops at the first complete matching.
+    """
+
+    def match(rest):
+        if not rest:
+            return True
+        a = rest[0]
+        for i in range(1, len(rest)):
+            if g.multiplicity(a, rest[i]) == 0:
+                if match(rest[1:i] + rest[i + 1 :]):
+                    return True
+        return False
+
+    return match(sorted(g.neighbors(x)))
+
+
+def reference_graphs_with_degrees(seq):
+    """Connected loopless multigraphs with degrees seq, one per isomorphism class.
+
+    Assigns a multiplicity to every vertex pair in lexicographic order,
+    most copies first, and keeps the first connected graph of each
+    canonical key.
+    """
+    from forestry import is_connected
+
+    k = len(seq)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    rem = list(seq)
+    seen = set()
+    found = []
+
+    def rec(idx, edges):
+        if idx == len(pairs):
+            if any(rem):
+                return
+            g = from_edge_list(k, edges)
+            if is_connected(g):
+                key = canonical_key(g)
+                if key not in seen:
+                    seen.add(key)
+                    found.append(g)
+            return
+        i, j = pairs[idx]
+        # every pair touching a vertex below i is behind us
+        if any(rem[v] for v in range(i)):
+            return
+        for t in range(min(rem[i], rem[j]), -1, -1):
+            rem[i] -= t
+            rem[j] -= t
+            rec(idx + 1, edges + [(i, j)] * t)
+            rem[i] += t
+            rem[j] += t
+
+    rec(0, [])
+    return found
+
+
+def brute_force_pairings(ends):
+    """Every perfect matching of the positions in ends, as sorted tuples of pairs.
+
+    Matchings that pair two equal ends are dropped; the rest are
+    deduplicated and returned in sorted order.
+    """
+    out = set()
+
+    def rec(rest, acc):
+        if not rest:
+            out.add(tuple(sorted(acc)))
+            return
+        for i in range(1, len(rest)):
+            a, b = sorted((rest[0], rest[i]))
+            rec(rest[1:i] + rest[i + 1 :], acc + [(a, b)])
+
+    rec(list(ends), [])
+    return sorted(p for p in out if all(a != b for a, b in p))
+
+
 def complete_graph(n):
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

@@ -242,7 +242,21 @@ def test_constants_bad_arguments(cli):
     assert rc == 2
     assert "--max-m" in err
     # --max-m only bounds the lift constants, which --fd does not compute
-    assert cli("constants", "--fd", "3", "--max-m", "0")[0] == 0
+    assert cli("constants", "--fd", "3", "--max-m", "0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("constants", "--fd", "3", "--max-m", "2"), "--max-m"),
+        (("constants", "--fd", "3", "--kind", "trees"), "--kind"),
+        (("count", "--catalog", "K4", "--brute-cap", "30"), "--brute-cap"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_refused(cli, argv, flag):
+    rc, out, err = cli(*argv)
+    assert (rc, out) == (2, "")
+    assert flag in err
 
 
 def test_max_m_above_the_cap_is_refused_before_any_work(cli, monkeypatch):

@@ -17,6 +17,7 @@ from forestry import (
 from forestry.errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
 from forestry.lifts import (
     LiftPlan,
+    _partitions,
     complete_lift,
     enumerate_lifts,
     graphs_with_degrees,
@@ -25,7 +26,15 @@ from forestry.lifts import (
     lift_feasible_simple,
 )
 
-from oracles import complete_graph, cycle_graph, path_graph, rand_multigraph
+from oracles import (
+    brute_force_pairings,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    rand_multigraph,
+    reference_graphs_with_degrees,
+    reference_simple_lift_exists,
+)
 
 
 def k33_with_apex():
@@ -186,8 +195,45 @@ def test_enumerate_simple_mode_matches_feasibility():
         x = centers[rng.randrange(len(centers))]
         plans = enumerate_lifts(g, x, simple=True)
         assert bool(plans) == lift_feasible_simple(g, x)
+        assert lift_feasible_simple(g, x) == reference_simple_lift_exists(g, x)
         for _, result in plans:
             assert all(t == 1 for _, _, t in result.bundles())
+        done += 1
+
+
+def test_a_pairing_with_a_repeated_end_comes_once():
+    g = from_edge_list(4, [(0, 1), (0, 1), (0, 2), (0, 3)])
+    assert [p.pairs for p, _ in enumerate_lifts(g, 0)] == [((1, 2), (1, 3))]
+    rng = random.Random(42)
+    done = 0
+    while done < 60:
+        g = rand_multigraph(rng, max_n=6, max_edges=12)
+        centers = [x for x in range(g.n) if g.degree(x) % 2 == 0 and g.degree(x) > 0]
+        if not centers:
+            continue
+        pairings = [p.pairs for p, _ in enumerate_lifts(g, centers[0])]
+        assert all(list(p) == sorted(p) for p in pairings)
+        assert all(p < q for p, q in zip(pairings, pairings[1:]))
+        done += 1
+
+
+def endpoint_multiset(g, x):
+    return [y for y in sorted(g.neighbors(x)) for _ in range(g.multiplicity(x, y))]
+
+
+def test_enumerated_plans_are_every_distinct_pairing():
+    rng = random.Random(43)
+    done = 0
+    while done < 120:
+        g = rand_multigraph(rng, max_n=6, max_edges=12)
+        centers = [x for x in range(g.n) if g.degree(x) in (2, 4, 6)]
+        if not centers:
+            continue
+        x = centers[rng.randrange(len(centers))]
+        every = brute_force_pairings(endpoint_multiset(g, x))
+        assert [p.pairs for p, _ in enumerate_lifts(g, x)] == every
+        new_only = [p for p in every if not any(g.multiplicity(a, b) for a, b in p)]
+        assert [p.pairs for p, _ in enumerate_lifts(g, x, simple=True)] == new_only
         done += 1
 
 
@@ -216,6 +262,14 @@ def test_degree_sequence_enumeration():
     assert canonical_key(triangle_only[0]) == canonical_key(cycle_graph(3))
     assert graphs_with_degrees((1, 1, 1, 1)) == []
     assert graphs_with_degrees((4,)) == []
+
+
+def test_degree_sequence_enumeration_matches_the_reference():
+    for m in range(1, 7):
+        for seq in _partitions(2 * m):
+            got = [list(g.bundles()) for g in graphs_with_degrees(seq)]
+            want = [list(g.bundles()) for g in reference_graphs_with_degrees(seq)]
+            assert got == want, seq
 
 
 def test_forest_lift_constants():
