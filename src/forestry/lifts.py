@@ -24,11 +24,10 @@ from .errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
 from .multigraph import (
     MultiGraph,
     _build,
+    _components,
     _derive,
     _without,
     canonical_key,
-    components,
-    delete_vertex,
     is_connected,
 )
 
@@ -61,9 +60,10 @@ def _half_degree(g, x):
 
 
 def _endpoint_multiset(g, x):
+    """The ends of x's edges, sorted: each neighbor once per parallel copy."""
     out = []
-    for y in sorted(g.neighbors(x)):
-        out.extend([y] * g.multiplicity(x, y))
+    for y, t in g._adj[x].items():  # rows are ascending
+        out += [y] * t
     return out
 
 
@@ -88,7 +88,7 @@ def _pairings(ends, host=None):
             if b == a or b == last or b < low:
                 continue
             last = b
-            if host is not None and host.multiplicity(a, b):
+            if host is not None and b in host._adj[a]:
                 continue
             acc.append((a, b))
             yield from rec(rest[1:i] + rest[i + 1 :], acc)
@@ -101,13 +101,14 @@ def lift_feasible_multigraph(g, x):
     """Can some complete lift of x leave a connected multigraph?
 
     True exactly when no neighbor hogs more than half of x's edges and
-    g - x has at most m + 1 components.
+    g - x has at most m + 1 components.  The components are counted on g
+    itself with x left out, and only until there are more than m + 1, so
+    no graph is built.
     """
     m = _half_degree(g, x)
-    for y in g.neighbors(x):
-        if g.multiplicity(x, y) > m:
-            return False
-    return len(components(delete_vertex(g, x))) <= m + 1
+    if max(g._adj[x].values(), default=0) > m:
+        return False
+    return len(_components(g, x, m + 1)) <= m + 1
 
 
 def lift_feasible_simple(g, x):
@@ -139,6 +140,7 @@ def _validate_plan(g, x, plan, simple):
         if simple and g.multiplicity(a, b):
             raise InvalidPlan(f"pair ({a}, {b}) is already an edge, result not simple")
         ends.extend(pair)
+    g._check(x)
     if sorted(ends) != _endpoint_multiset(g, x):
         raise InvalidPlan("pairs do not use each edge at the center exactly once")
 

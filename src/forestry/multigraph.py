@@ -20,8 +20,8 @@ class MultiGraph:
         # adj is a list of {neighbor: multiplicity} dicts with ascending
         # keys, already symmetric; use from_edge_list for raw input.
         # Omitting it gives the edgeless graph on n vertices.
-        if n < 0:
-            raise VertexOutOfRange(f"vertex count {n} is negative")
+        if not isinstance(n, int) or n < 0:
+            raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
         self.n = n
         self._adj = [{} for _ in range(n)] if adj is None else adj
         self._key = None
@@ -56,8 +56,10 @@ class MultiGraph:
     def edge_list(self):
         """Every edge copy as a (u, v) pair, u < v, parallel copies repeated."""
         out = []
-        for u, v, t in self.bundles():
-            out.extend([(u, v)] * t)
+        for u, row in enumerate(self._adj):
+            for v, t in row.items():
+                if v > u:
+                    out += [(u, v)] * t
         return out
 
     def _check(self, v):
@@ -76,15 +78,17 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, [{pairs}])"
 
 
-def _build(n, mults):
-    """mults: {(u, v) with u < v: multiplicity > 0} -> MultiGraph."""
+def _build(n, mults, ordered=False):
+    """mults: {(u, v) with u < v: multiplicity} -> MultiGraph, zero bundles dropped.
+
+    Lexicographic pair order makes every neighbor dict ascending, so the
+    pairs are sorted first unless ordered says they arrive that way.
+    """
     adj = [{} for _ in range(n)]
-    # lexicographic pair order makes every neighbor dict ascending
-    for (u, v), t in sorted(mults.items()):
-        if t <= 0:
-            continue
-        adj[u][v] = t
-        adj[v][u] = t
+    for (u, v), t in mults.items() if ordered else sorted(mults.items()):
+        if t > 0:
+            adj[u][v] = t
+            adj[v][u] = t
     return MultiGraph(n, adj)
 
 
@@ -92,14 +96,22 @@ def from_edge_list(n, pairs):
     if not isinstance(n, int) or n < 0:
         raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
     mults = {}
-    for u, v in pairs:
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has non-integer endpoint")
-        if u == v:
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise VertexOutOfRange(f"edge {pair!r} is not a pair of vertices") from None
+        if type(u) is not int or type(v) is not int:  # exact ints skip isinstance
+            if not isinstance(u, int) or not isinstance(v, int):
+                raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has non-integer endpoint")
+        if u < v:
+            key = (u, v)
+        elif v < u:
+            key = (v, u)
+        else:
             raise LoopRejected(f"loop at vertex {u} rejected")
-        if not (0 <= u < n) or not (0 <= v < n):
+        if key[0] < 0 or key[1] >= n:
             raise VertexOutOfRange(f"edge ({u}, {v}) out of range for n={n}")
-        key = (u, v) if u < v else (v, u)
         mults[key] = mults.get(key, 0) + 1
     return _build(n, mults)
 
@@ -113,15 +125,27 @@ def _derive(g, n, vmap, extra=()):
     already checked their arguments.
     """
     mults = {}
-    for u, v, t in g.bundles():
-        a, b = vmap[u], vmap[v]
-        if a is not None and b is not None and a != b:
-            key = (a, b) if a < b else (b, a)
-            mults[key] = mults.get(key, 0) + t
+    # a map increasing on the kept vertices sends g's pairs, which come
+    # in lexicographic order, to pairs in lexicographic order
+    ordered = True
+    last = -1
+    for u, row in enumerate(g._adj):
+        a = vmap[u]
+        if a is None:
+            continue
+        ordered = ordered and a > last
+        last = a
+        for v, t in row.items():
+            if v > u:
+                b = vmap[v]
+                if b is not None and b != a:
+                    key = (a, b) if a < b else (b, a)
+                    mults[key] = mults.get(key, 0) + t
     for a, b in extra:
         key = (a, b) if a < b else (b, a)
+        ordered = ordered and key in mults  # a new pair lands at the end
         mults[key] = mults.get(key, 0) + 1
-    return _build(n, mults)
+    return _build(n, mults, ordered)
 
 
 def relabel(g, perm):
@@ -158,7 +182,7 @@ def _remove_copies(g, u, v, k):
         raise EdgeAbsent(f"no edge between {u} and {v}")
     mults = {(a, b): s for a, b, s in g.bundles()}
     mults[(u, v) if u < v else (v, u)] = t - k  # _build drops a bundle at 0
-    return _build(g.n, mults)
+    return _build(g.n, mults, ordered=True)
 
 
 def delete_vertex(g, v):
@@ -223,27 +247,38 @@ def _identify(g, groups):
 
 def components(g):
     """Vertex sets of connected components, each sorted, ordered by min."""
+    return [sorted(comp) for comp in _components(g)]
+
+
+def _components(g, skip=None, limit=None):
+    """The components of g - skip as vertex lists, in order of least vertex.
+
+    The search runs on g itself and stops once it has found more than
+    limit components, when a caller only asks whether there are that many.
+    """
+    adj = g._adj
     seen = [False] * g.n
+    if skip is not None:
+        seen[skip] = True
     out = []
     for start in range(g.n):
         if seen[start]:
             continue
-        comp = [start]
         seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g._adj[v]:
+        comp = [start]
+        for v in comp:  # the list grows while it is read: a breadth-first search
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
+        out.append(comp)
+        if limit is not None and len(out) > limit:
+            break
     return out
 
 
 def is_connected(g):
-    return len(components(g)) <= 1
+    return len(_components(g, limit=1)) <= 1
 
 
 def degree_counts(g):

@@ -229,6 +229,17 @@ def reference_family_levels(degree_set, n_max):
     return levels
 
 
+def reference_lift_feasible(g, x):
+    """The feasibility route that builds g - x: no neighbour carries more
+    than m of x's 2m edges, and g - x has at most m + 1 components."""
+    from forestry import components, delete_vertex
+
+    m = g.degree(x) // 2
+    if any(g.multiplicity(x, y) > m for y in g.neighbors(x)):
+        return False
+    return len(components(delete_vertex(g, x))) <= m + 1
+
+
 def reference_simple_lift_exists(g, x):
     """Is there a perfect matching on N(x) using only pairs not adjacent in g?
 

@@ -33,6 +33,7 @@ from oracles import (
     path_graph,
     rand_multigraph,
     reference_graphs_with_degrees,
+    reference_lift_feasible,
     reference_simple_lift_exists,
 )
 
@@ -58,6 +59,52 @@ def test_feasible_multigraph_basics():
     star4 = from_edge_list(5, [(0, i) for i in range(1, 5)])
     # removing the center leaves m + 2 = 4 pieces
     assert not lift_feasible_multigraph(star4, 0)
+
+
+def test_feasibility_matches_the_route_through_g_minus_x():
+    # hosts need not be connected, and centres include degree 0 and ones
+    # whose removal leaves more than m + 1 components
+    rng = random.Random(23)
+    hosts = [rand_multigraph(rng, max_n=8, max_edges=12) for _ in range(300)]
+    hosts += [
+        from_edge_list(1, []),
+        from_edge_list(3, [(1, 2)]),
+        from_edge_list(7, [(0, i) for i in range(1, 7)]),
+        from_edge_list(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)]),
+    ]
+    seen = {"degree 0": 0, "too many components": 0, "feasible": 0}
+    for g in hosts:
+        for x in range(g.n):
+            d = g.degree(x)
+            if d % 2:
+                continue
+            claim = lift_feasible_multigraph(g, x)
+            assert claim == reference_lift_feasible(g, x), (g, x)
+            m = d // 2
+            if d == 0:
+                seen["degree 0"] += 1
+            elif max(g.multiplicity(x, y) for y in g.neighbors(x)) <= m and not claim:
+                seen["too many components"] += 1
+            seen["feasible"] += claim
+    assert all(seen.values()), seen
+
+
+def test_feasibility_builds_no_graph(monkeypatch):
+    hosts = [
+        (cycle_graph(5), 2, True),
+        (from_edge_list(5, [(0, i) for i in range(1, 5)]), 0, False),
+        (from_edge_list(2, [(0, 1), (0, 1)]), 0, False),
+        (k33_with_apex(), 0, True),
+        (from_edge_list(3, [(1, 2)]), 0, True),
+        (from_edge_list(3, []), 0, False),
+    ]
+
+    def no_build(n, mults, *args):
+        raise AssertionError("feasibility built a graph")
+
+    monkeypatch.setattr("forestry.multigraph._build", no_build)
+    for g, x, want in hosts:
+        assert lift_feasible_multigraph(g, x) is want
 
 
 def test_feasible_multigraph_odd_degree():

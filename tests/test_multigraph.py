@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,24 @@ def test_from_edge_list_rejects_loops_and_bad_vertices():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(VertexOutOfRange):
         from_edge_list(-1, [])
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: from_edge_list(3, [(0, 1, 2)]), "(0, 1, 2)"),
+        (lambda: from_edge_list(3, [(0,)]), "(0,)"),
+        (lambda: from_edge_list(3, [5]), "5"),
+        (lambda: from_edge_list(3, [(0, 1), None]), "None"),
+        (lambda: MultiGraph(2.5), "2.5"),
+        (lambda: MultiGraph("3"), "'3'"),
+        (lambda: MultiGraph(None), "None"),
+    ],
+    ids=["triple", "single", "int", "none", "float-n", "str-n", "none-n"],
+)
+def test_malformed_constructor_input_is_a_graph_error(build, bad):
+    with pytest.raises(VertexOutOfRange, match=re.escape(bad)):
+        build()
 
 
 def test_contract_edge_k4_example():
@@ -115,6 +134,11 @@ def test_components_and_connectivity():
     assert components(g) == [[0, 1], [2, 3], [4]]
     assert not is_connected(g)
     assert is_connected(cycle_graph(4))
+    rng = random.Random(5)
+    graphs = [MultiGraph(0), MultiGraph(1)]
+    graphs += [rand_multigraph(rng, max_n=7, max_edges=rng.randint(0, 8)) for _ in range(200)]
+    for h in graphs:
+        assert is_connected(h) == (len(components(h)) <= 1)
 
 
 def test_degree_counts():
@@ -165,8 +189,13 @@ def test_equality_is_labeled():
 
 
 def _same(h, expected):
-    # equal graphs whose bundles also come out in the same (ascending) order
-    return h == expected and list(h.bundles()) == list(expected.bundles())
+    # equal graphs whose bundles and whole neighbour rows also come out in
+    # the same (ascending) order
+    return (
+        h == expected
+        and list(h.bundles()) == list(expected.bundles())
+        and [list(d) for d in h._adj] == [list(d) for d in expected._adj]
+    )
 
 
 @settings(max_examples=100, deadline=None)
