@@ -78,14 +78,11 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, [{pairs}])"
 
 
-def _build(n, mults, ordered=False):
-    """mults: {(u, v) with u < v: multiplicity} -> MultiGraph, zero bundles dropped.
-
-    Lexicographic pair order makes every neighbor dict ascending, so the
-    pairs are sorted first unless ordered says they arrive that way.
-    """
+def _build(n, mults):
+    """mults: {(u, v) with u < v: multiplicity} -> MultiGraph, zero bundles dropped."""
     adj = [{} for _ in range(n)]
-    for (u, v), t in mults.items() if ordered else sorted(mults.items()):
+    # lexicographic pair order makes every neighbor dict ascending
+    for (u, v), t in sorted(mults.items()):
         if t > 0:
             adj[u][v] = t
             adj[v][u] = t
@@ -101,9 +98,8 @@ def from_edge_list(n, pairs):
             u, v = pair
         except (TypeError, ValueError):
             raise VertexOutOfRange(f"edge {pair!r} is not a pair of vertices") from None
-        if type(u) is not int or type(v) is not int:  # exact ints skip isinstance
-            if not isinstance(u, int) or not isinstance(v, int):
-                raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has non-integer endpoint")
+        if not isinstance(u, int) or not isinstance(v, int):
+            raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has non-integer endpoint")
         if u < v:
             key = (u, v)
         elif v < u:
@@ -125,16 +121,10 @@ def _derive(g, n, vmap, extra=()):
     already checked their arguments.
     """
     mults = {}
-    # a map increasing on the kept vertices sends g's pairs, which come
-    # in lexicographic order, to pairs in lexicographic order
-    ordered = True
-    last = -1
     for u, row in enumerate(g._adj):
         a = vmap[u]
         if a is None:
             continue
-        ordered = ordered and a > last
-        last = a
         for v, t in row.items():
             if v > u:
                 b = vmap[v]
@@ -143,9 +133,8 @@ def _derive(g, n, vmap, extra=()):
                     mults[key] = mults.get(key, 0) + t
     for a, b in extra:
         key = (a, b) if a < b else (b, a)
-        ordered = ordered and key in mults  # a new pair lands at the end
         mults[key] = mults.get(key, 0) + 1
-    return _build(n, mults, ordered)
+    return _build(n, mults)
 
 
 def relabel(g, perm):
@@ -182,7 +171,7 @@ def _remove_copies(g, u, v, k):
         raise EdgeAbsent(f"no edge between {u} and {v}")
     mults = {(a, b): s for a, b, s in g.bundles()}
     mults[(u, v) if u < v else (v, u)] = t - k  # _build drops a bundle at 0
-    return _build(g.n, mults, ordered=True)
+    return _build(g.n, mults)
 
 
 def delete_vertex(g, v):

@@ -99,7 +99,7 @@ def test_feasibility_builds_no_graph(monkeypatch):
         (from_edge_list(3, []), 0, False),
     ]
 
-    def no_build(n, mults, *args):
+    def no_build(n, mults):
         raise AssertionError("feasibility built a graph")
 
     monkeypatch.setattr("forestry.multigraph._build", no_build)
