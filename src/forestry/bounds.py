@@ -31,7 +31,6 @@ from .errors import (
 )
 from .multigraph import (
     MultiGraph,
-    _build,
     contract_edge,
     degree_counts,
     delete_edge,
@@ -82,7 +81,7 @@ def degree_profile(g, degrees=(2, 3, 4)):
     if bad:
         allowed = ", ".join(map(str, degrees))
         raise DegreeOutOfFamily(f"degrees {bad} are outside {{{allowed}}}")
-    if not is_connected(g):
+    if not g.n or not is_connected(g):
         raise Disconnected("the bounds are stated for connected graphs")
     return counts.get(2, 0), counts.get(3, 0), counts.get(4, 0)
 
@@ -226,15 +225,10 @@ def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP):
 def _ring_graph(g, u, v, m):
     """m copies of g less one uv copy, copy i's v joined to copy (i + 1)'s u."""
     n = g.n
-    mults = {}
-    for i in range(m):
-        for x, y, t in g.bundles():
-            mults[i * n + x, i * n + y] = t
-        mults[i * n + min(u, v), i * n + max(u, v)] -= 1  # _build drops a bundle at 0
-    for i in range(m):
-        a, b = sorted((i * n + v, (i + 1) % m * n + u))
-        mults[a, b] = mults.get((a, b), 0) + 1
-    return _build(m * n, mults)
+    cut = delete_edge(g, u, v).edge_list()
+    pairs = [(i * n + x, i * n + y) for i in range(m) for x, y in cut]
+    pairs += [(i * n + v, (i + 1) % m * n + u) for i in range(m)]
+    return from_edge_list(m * n, pairs)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .errors import EdgeAbsent, InvalidPartition, LoopRejected, TooLarge, VertexOutOfRange
-from .multigraph import _build, _identify, contract_set, is_connected
+from .errors import EdgeAbsent, InvalidPartition, TooLarge, VertexOutOfRange
+from .multigraph import _identify, contract_set, from_edge_list, is_connected
 
 FORESTS = "F"
 TREES = "T"
@@ -270,19 +270,11 @@ def extension_count(g, gadget_edges, partition):
     outside the gadget (its attachment vertices); blocks over further
     gadget vertices are allowed, since any host could attach there.
     """
-    gadget = {}
-    for u, v in gadget_edges:
-        if u == v:
-            raise LoopRejected(f"gadget edge ({u}, {v}) is a loop")
-        key = (u, v) if u < v else (v, u)
-        gadget[key] = gadget.get(key, 0) + 1
-    for (u, v), t in gadget.items():
+    gadget = from_edge_list(g.n, gadget_edges)
+    for u, v, t in gadget.bundles():
         if g.multiplicity(u, v) < t:
             raise EdgeAbsent(f"gadget uses {t} copies of {u}-{v}, graph has fewer")
-    gverts = set()
-    for u, v in gadget:
-        gverts.add(u)
-        gverts.add(v)
+    rows = gadget._adj
 
     blocks = [tuple(sorted(set(b))) for b in partition]
     covered = set()
@@ -290,17 +282,13 @@ def extension_count(g, gadget_edges, partition):
         if not b:
             raise InvalidPartition("empty block")
         for x in b:
-            if x not in gverts:
+            if type(x) is not int or not 0 <= x < g.n or not rows[x]:
                 raise InvalidPartition(f"block vertex {x} is not a gadget vertex")
             if x in covered:
                 raise InvalidPartition(f"vertex {x} appears in two blocks")
             covered.add(x)
-    gadget_deg = {}
-    for (u, v), t in gadget.items():
-        gadget_deg[u] = gadget_deg.get(u, 0) + t
-        gadget_deg[v] = gadget_deg.get(v, 0) + t
-    for w in sorted(gverts):
-        if g.degree(w) > gadget_deg[w] and w not in covered:
+    for w in range(g.n):
+        if rows[w] and w not in covered and g.degree(w) > gadget.degree(w):
             raise InvalidPartition(f"attachment vertex {w} is not in any block")
     # the vertices of g outside the gadget stay isolated: a factor of 1
-    return count_forests(_identify(_build(g.n, gadget), blocks))
+    return count_forests(_identify(gadget, blocks))

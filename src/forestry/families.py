@@ -40,7 +40,7 @@ at the sweep's largest order: pruning never cuts a member's chain.
 from itertools import combinations
 
 from .errors import CapExceeded
-from .multigraph import MultiGraph, _derive, canonical_search
+from .multigraph import MultiGraph, _components, _derive, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
@@ -86,19 +86,6 @@ def _hooks(open_slots, dmax, gens):
                 yield hook
 
 
-def _cuts(nbrs, u):
-    """Whether deleting u disconnects the connected graph with these neighbour lists."""
-    start = 1 if u == 0 else 0
-    seen = {u, start}
-    stack = [start]
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) < len(nbrs)
-
-
 def _ties(nbrs, degrees):
     """The other non-cut vertices whose invariant equals the last vertex's,
     or None when one has a smaller invariant.  Degree-1 vertices never cut."""
@@ -112,7 +99,7 @@ def _ties(nbrs, degrees):
     for u in range(new):
         if degrees[u] <= least[0]:
             x = invariant(u)
-            if x <= least and (degrees[u] == 1 or not _cuts(nbrs, u)):
+            if x <= least and (degrees[u] == 1 or len(_components(nbrs, u, 1)) == 1):
                 if x < least:
                     return None
                 ties.append(u)

@@ -14,7 +14,6 @@ a complete lift.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -23,11 +22,11 @@ from .counting import count_forests, count_trees
 from .errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
 from .multigraph import (
     MultiGraph,
-    _build,
     _components,
     _derive,
     _without,
     canonical_key,
+    from_edge_list,
     is_connected,
 )
 
@@ -108,7 +107,7 @@ def lift_feasible_multigraph(g, x):
     m = _half_degree(g, x)
     if max(g._adj[x].values(), default=0) > m:
         return False
-    return len(_components(g, x, m + 1)) <= m + 1
+    return len(_components(g._adj, x, m + 1)) <= m + 1
 
 
 def lift_feasible_simple(g, x):
@@ -194,7 +193,7 @@ def graphs_with_degrees(seq):
     k = len(seq)
     found = {}
     for pairing in _pairings([v for v in range(k) for _ in range(seq[v])]):
-        g = _build(k, Counter(pairing))
+        g = from_edge_list(k, pairing)
         if is_connected(g):
             found.setdefault(canonical_key(g), g)
     return list(found.values())

@@ -20,7 +20,7 @@ class MultiGraph:
         # adj is a list of {neighbor: multiplicity} dicts with ascending
         # keys, already symmetric; use from_edge_list for raw input.
         # Omitting it gives the edgeless graph on n vertices.
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
         self.n = n
         self._adj = [{} for _ in range(n)] if adj is None else adj
@@ -63,7 +63,7 @@ class MultiGraph:
         return out
 
     def _check(self, v):
-        if not isinstance(v, int) or v < 0 or v >= self.n:
+        if type(v) is not int or v < 0 or v >= self.n:
             raise VertexOutOfRange(f"vertex {v!r} not in 0..{self.n - 1}")
 
     def __eq__(self, other):
@@ -90,7 +90,7 @@ def _build(n, mults):
 
 
 def from_edge_list(n, pairs):
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
     mults = {}
     for pair in pairs:
@@ -98,7 +98,7 @@ def from_edge_list(n, pairs):
             u, v = pair
         except (TypeError, ValueError):
             raise VertexOutOfRange(f"edge {pair!r} is not a pair of vertices") from None
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has non-integer endpoint")
         if u < v:
             key = (u, v)
@@ -236,21 +236,21 @@ def _identify(g, groups):
 
 def components(g):
     """Vertex sets of connected components, each sorted, ordered by min."""
-    return [sorted(comp) for comp in _components(g)]
+    return [sorted(comp) for comp in _components(g._adj)]
 
 
-def _components(g, skip=None, limit=None):
-    """The components of g - skip as vertex lists, in order of least vertex.
+def _components(adj, skip=None, limit=None):
+    """The components of the graph with neighbour rows adj, less vertex skip.
 
-    The search runs on g itself and stops once it has found more than
-    limit components, when a caller only asks whether there are that many.
+    Components are vertex lists in order of least vertex.  The search stops
+    once it has found more than limit components, when a caller only asks
+    whether there are that many.
     """
-    adj = g._adj
-    seen = [False] * g.n
+    seen = [False] * len(adj)
     if skip is not None:
         seen[skip] = True
     out = []
-    for start in range(g.n):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         seen[start] = True
@@ -267,7 +267,7 @@ def _components(g, skip=None, limit=None):
 
 
 def is_connected(g):
-    return len(_components(g, limit=1)) <= 1
+    return len(_components(g._adj, limit=1)) <= 1
 
 
 def degree_counts(g):

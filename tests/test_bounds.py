@@ -6,6 +6,7 @@ import pytest
 
 from forestry import (
     Gadget,
+    MultiGraph,
     catalog_entry,
     count_forests,
     delete_edge,
@@ -116,9 +117,10 @@ def test_degree_family_guards():
 
 def test_the_bounds_refuse_disconnected_graphs():
     two_triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for bound in (p_bound, q_bound):
-        with pytest.raises(Disconnected):
-            bound(two_triangles)
+    for g in (two_triangles, MultiGraph(0)):
+        for bound in (p_bound, q_bound):
+            with pytest.raises(Disconnected):
+                bound(g)
     # degrees are checked first: an isolated vertex or a pendant edge is out
     # of the family before the missing connection is looked at
     triangle = [(0, 1), (1, 2), (0, 2)]

@@ -303,6 +303,10 @@ def test_extension_rejects_bad_input():
         extension_count(g, [(0, 1)], [[]])
     with pytest.raises(InvalidPartition):
         extension_count(g, [(0, 1)], [[5], [0, 1]])
+    with pytest.raises(VertexOutOfRange):
+        extension_count(g, [(0, 1, 2)], [[0, 1]])
+    with pytest.raises(VertexOutOfRange):
+        extension_count(g, [5], [[0, 1]])
 
 
 def test_extension_matches_direct_contraction():

@@ -23,6 +23,7 @@ from forestry import (
     relabel,
 )
 from forestry.errors import EdgeAbsent, LoopRejected, VertexOutOfRange
+from forestry.multigraph import _components
 
 from oracles import complete_graph, cycle_graph, path_graph, rand_multigraph, rebuild
 
@@ -54,12 +55,24 @@ def test_from_edge_list_rejects_loops_and_bad_vertices():
         (lambda: MultiGraph(2.5), "2.5"),
         (lambda: MultiGraph("3"), "'3'"),
         (lambda: MultiGraph(None), "None"),
+        (lambda: MultiGraph(True), "True"),
+        (lambda: from_edge_list(True, []), "True"),
+        (lambda: from_edge_list(3, [(True, 2)]), "(True, 2)"),
     ],
-    ids=["triple", "single", "int", "none", "float-n", "str-n", "none-n"],
+    ids=["triple", "single", "int", "none", "float-n", "str-n", "none-n", "bool-n",
+         "bool-edge-list-n", "bool-endpoint"],
 )
 def test_malformed_constructor_input_is_a_graph_error(build, bad):
     with pytest.raises(VertexOutOfRange, match=re.escape(bad)):
         build()
+
+
+def test_a_bool_is_not_a_vertex():
+    g = cycle_graph(3)
+    with pytest.raises(VertexOutOfRange, match="True"):
+        g.degree(True)
+    with pytest.raises(VertexOutOfRange, match="False"):
+        contract_set(g, [False, True])
 
 
 def test_contract_edge_k4_example():
@@ -135,10 +148,16 @@ def test_components_and_connectivity():
     assert not is_connected(g)
     assert is_connected(cycle_graph(4))
     rng = random.Random(5)
-    graphs = [MultiGraph(0), MultiGraph(1)]
+    graphs = [MultiGraph(0), MultiGraph(1), MultiGraph(2), from_edge_list(2, [(0, 1)])]
     graphs += [rand_multigraph(rng, max_n=7, max_edges=rng.randint(0, 8)) for _ in range(200)]
     for h in graphs:
         assert is_connected(h) == (len(components(h)) <= 1)
+        # g - u counted on g's own rows, as dicts and as the tuple rows
+        # that the family generator's cut test passes
+        for u in range(h.n):
+            want = len(components(delete_vertex(h, u)))
+            assert len(_components(h._adj, u)) == want
+            assert len(_components([tuple(r) for r in h._adj], u)) == want
 
 
 def test_degree_counts():
