@@ -4,113 +4,70 @@ The package provides the counting engine, lifting operations and their
 extremal constants, exact lower-bound comparators for degree-restricted
 graphs, a named-graph catalog, exhaustive family generators, theorem
 sweeps with a persistent run store, and a command-line front end.
+
+Importing the package loads none of its modules.  The first use of a
+name below, or of a module that exports them, imports every such module
+and binds every name, so the namespace is then complete; any other name
+is refused at once.  A module of the package must not ``from . import``
+a module of the table: that asks this namespace for it in the middle of
+an import.
 """
 
-from .bounds import (
-    BoundExpr,
-    FamilySeries,
-    Gadget,
-    RatioReport,
-    compare,
-    girth_limit,
-    min_ratio_check,
-    p_bound,
-    q_bound,
-    ring_family,
-    table2_check,
-    upper_bound_fd,
-)
-from .catalog import CatalogEntry, catalog, catalog_entry
-from .families import enumerate_family, family_levels
-from .counting import (
-    MemoCache,
-    count_forests,
-    count_forests_bruteforce,
-    count_forests_separating,
-    count_trees,
-    extension_count,
-)
-from .formats import format_edge_list, format_graph6, parse_edge_list, parse_graph, parse_graph6
-from .lifts import (
-    LiftConstant,
-    LiftPlan,
-    complete_lift,
-    enumerate_lifts,
-    lift_constant,
-    lift_feasible_multigraph,
-    lift_feasible_simple,
-)
-from .sweep import SweepRecord, SweepSummary, run_store_append, run_store_resume, sweep_theorem
-from .multigraph import (
-    MultiGraph,
-    automorphisms,
-    canonical_key,
-    components,
-    contract_edge,
-    contract_set,
-    degree_counts,
-    delete_bundle,
-    delete_edge,
-    delete_vertex,
-    from_edge_list,
-    induced,
-    is_connected,
-    relabel,
-)
+import sys as _sys
+from types import ModuleType as _ModuleType
 
-__all__ = [
-    "automorphisms",
-    "BoundExpr",
-    "canonical_key",
-    "catalog",
-    "catalog_entry",
-    "CatalogEntry",
-    "compare",
-    "complete_lift",
-    "components",
-    "contract_edge",
-    "contract_set",
-    "count_forests",
-    "count_forests_bruteforce",
-    "count_forests_separating",
-    "count_trees",
-    "degree_counts",
-    "delete_bundle",
-    "delete_edge",
-    "delete_vertex",
-    "enumerate_family",
-    "enumerate_lifts",
-    "extension_count",
-    "family_levels",
-    "FamilySeries",
-    "format_edge_list",
-    "format_graph6",
-    "from_edge_list",
-    "Gadget",
-    "girth_limit",
-    "induced",
-    "is_connected",
-    "lift_constant",
-    "lift_feasible_multigraph",
-    "lift_feasible_simple",
-    "LiftConstant",
-    "LiftPlan",
-    "MemoCache",
-    "min_ratio_check",
-    "MultiGraph",
-    "p_bound",
-    "parse_edge_list",
-    "parse_graph",
-    "parse_graph6",
-    "q_bound",
-    "RatioReport",
-    "relabel",
-    "ring_family",
-    "run_store_append",
-    "run_store_resume",
-    "sweep_theorem",
-    "SweepRecord",
-    "SweepSummary",
-    "table2_check",
-    "upper_bound_fd",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "multigraph": (
+        "MultiGraph", "automorphisms", "canonical_key", "components", "contract_edge",
+        "contract_set", "degree_counts", "delete_bundle", "delete_edge", "delete_vertex",
+        "from_edge_list", "induced", "is_connected", "relabel",
+    ),
+    "counting": (
+        "MemoCache", "count_forests", "count_forests_bruteforce", "count_forests_separating",
+        "count_trees", "extension_count",
+    ),
+    "formats": (
+        "format_edge_list", "format_graph6", "parse_edge_list", "parse_graph", "parse_graph6",
+    ),
+    "bounds": (
+        "BoundExpr", "FamilySeries", "Gadget", "RatioReport", "compare", "girth_limit",
+        "min_ratio_check", "p_bound", "q_bound", "ring_family", "table2_check",
+        "upper_bound_fd",
+    ),
+    "lifts": (
+        "LiftConstant", "LiftPlan", "complete_lift", "enumerate_lifts", "lift_constant",
+        "lift_feasible_multigraph", "lift_feasible_simple",
+    ),
+    "families": ("enumerate_family", "family_levels"),
+    "named": ("CatalogEntry", "catalog", "catalog_entry"),
+    "sweep": (
+        "SweepRecord", "SweepSummary", "run_store_append", "run_store_resume", "sweep_theorem",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+class _Package(_ModuleType):
+    """The package until a name is first used, and a plain module after.
+
+    A module-level ``__getattr__`` (PEP 562) would load it the same way,
+    but CPython does not specialize attribute reads on a module whose
+    namespace holds one, so every later ``forestry.name`` would stay
+    about twice as slow to look up.
+    """
+
+    def __getattr__(self, name):
+        if name not in _EXPORTS and name not in __all__:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        for module, names in _EXPORTS.items():
+            mod = import_module(f".{module}", __name__)
+            globals().update((n, getattr(mod, n)) for n in names)
+        self.__class__ = _ModuleType
+        return globals()[name]
+
+
+_sys.modules[__name__].__class__ = _Package

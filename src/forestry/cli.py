@@ -4,37 +4,16 @@ Eight subcommands share one input convention: a positional file path,
 stdin when the path is absent, or --catalog NAME for a built-in graph.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure (a sweep violation, a catalog mismatch, or a
-cross-check disagreement), 2 usage or input errors.
+cross-check disagreement), 2 usage or input errors.  Each command
+imports the layers it uses when it runs, so a count on stdin never
+loads the bounds, lifts, families, sweeps or catalog.
 """
 
 import argparse
-import json
 import signal
 import sys
 
-from .bounds import (
-    Gadget,
-    compare,
-    degree_profile,
-    min_ratio_check,
-    p_bound,
-    q_bound,
-    table2_check,
-    upper_bound_fd,
-)
-from .catalog import catalog, catalog_entry
-from .counting import (
-    MemoCache,
-    count_forests,
-    count_forests_bruteforce,
-    count_trees,
-)
 from .errors import CatalogMismatch, ForestryError, ViolationFound
-from .families import DEFAULT_FAMILY_CAPS, enumerate_family
-from .formats import format_edge_list, format_graph6, parse_graph
-from .lifts import DEFAULT_CONSTANT_CAP, lift_constant
-from .multigraph import canonical_key, from_edge_list
-from .sweep import THEOREMS, sweep_theorem
 
 SCHEMA_VERSION = 1
 
@@ -53,9 +32,11 @@ def _check_args(ns):
         for flag in ("max_m", "kind"):
             if args[flag] is not None:
                 raise ValueError(f"--fd takes no --{flag.replace('_', '-')}")
-    cap = DEFAULT_CONSTANT_CAP
-    if args.get("max_m") is not None and not 1 <= ns.max_m <= cap:
-        raise ValueError(f"--max-m must be in 1..{cap}, got {ns.max_m}")
+    if args.get("max_m") is not None:
+        from .lifts import DEFAULT_CONSTANT_CAP as cap
+
+        if not 1 <= ns.max_m <= cap:
+            raise ValueError(f"--max-m must be in 1..{cap}, got {ns.max_m}")
     if args.get("catalog") is not None:
         if args["path"] is not None:
             raise ValueError("give a file path or --catalog, not both")
@@ -63,6 +44,8 @@ def _check_args(ns):
 
 
 def _resolve_catalog(name):
+    from .named import catalog_entry
+
     try:
         return catalog_entry(name)
     except KeyError:
@@ -79,15 +62,21 @@ def _load_graph(ns):
             text = fh.read()
     else:
         text = sys.stdin.read()
+    from .formats import parse_graph
+
     return parse_graph(text)
 
 
 def _emit_json(obj):
+    import json
+
     print(json.dumps(obj, sort_keys=True))
 
 
 def _cmd_count(ns):
     """count and trees: text shows the one count, JSON both and the cache's hits."""
+    from .counting import MemoCache, count_forests, count_forests_bruteforce, count_trees
+
     cache = MemoCache()
     g = _load_graph(ns)
     value = (count_forests if ns.subcommand == "count" else count_trees)(g, cache)
@@ -116,6 +105,9 @@ def _cmd_count(ns):
 
 
 def _cmd_bound(ns):
+    from .bounds import compare, degree_profile, p_bound, q_bound
+    from .counting import count_forests
+
     g = _load_graph(ns)
     which = ns.which
     if which == "auto":
@@ -143,6 +135,9 @@ def _cmd_bound(ns):
 
 
 def _key_names():
+    from .multigraph import canonical_key
+    from .named import catalog
+
     names = {}
     for entry in catalog():
         names.setdefault(canonical_key(entry.graph), entry.name)
@@ -163,6 +158,9 @@ def _outcome_text(pairs, names):
 
 
 def _cmd_verify(ns):
+    from .families import DEFAULT_FAMILY_CAPS
+    from .sweep import THEOREMS, sweep_theorem
+
     theorem = "T" + ns.theorem
     degree_set = THEOREMS[theorem][0]
     n_max = ns.max_n
@@ -196,6 +194,9 @@ def _cmd_verify(ns):
 
 
 def _cmd_family(ns):
+    from .families import enumerate_family
+    from .formats import format_graph6
+
     degree_set = {"23": (2, 3), "234": (2, 3, 4)}[ns.degrees]
     members = enumerate_family(ns.n, degree_set, cap=ns.family_cap)
     lines = [format_graph6(g) for g in members]
@@ -228,6 +229,8 @@ def _radical_text(rb):
 
 def _cmd_constants(ns):
     if ns.fd is not None:
+        from .bounds import upper_bound_fd
+
         rb = upper_bound_fd(ns.fd)
         if ns.output == "json":
             _emit_json(
@@ -247,6 +250,8 @@ def _cmd_constants(ns):
             middle = "" if factored == plain else f" = {plain}"
             print(f"d {ns.fd}  ceiling {factored}{middle} = {rb.value():.10f}")
         return 0
+    from .lifts import lift_constant
+
     kinds = (ns.kind,) if ns.kind in ("forests", "trees") else ("forests", "trees")
     rows = [
         lift_constant(m, kind)
@@ -280,6 +285,9 @@ def _cmd_constants(ns):
 
 
 def _ratio_suites():
+    from .bounds import Gadget
+    from .multigraph import from_edge_list
+
     double_star = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     two_edges = from_edge_list(4, [(0, 1), (2, 3)])
     diamond = from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -346,6 +354,8 @@ def _table2_payload(report):
 
 
 def _cmd_ratio(ns):
+    from .bounds import min_ratio_check, table2_check
+
     suites = _ratio_suites()
     chosen = list(suites) + ["table2"] if ns.suite == "all" else [ns.suite]
     payloads = []
@@ -383,6 +393,10 @@ def _cmd_ratio(ns):
 
 
 def _cmd_catalog(ns):
+    from .counting import count_trees
+    from .formats import format_edge_list
+    from .named import catalog
+
     entries = catalog()
     if ns.name is not None:
         entries = [_resolve_catalog(ns.name)]

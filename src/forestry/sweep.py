@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass
 
 from .bounds import EQUAL, LESS, compare, p_bound, q_bound
-from .catalog import catalog_entry
 from .counting import count_forests
 from .errors import CorruptRecord, IoError, ViolationFound
 from .families import family_levels
 from .multigraph import canonical_key
+from .named import catalog_entry
 
 log = logging.getLogger(__name__)
 
@@ -78,33 +78,49 @@ def record_line(record):
 
 
 def parse_record(line):
-    """Strict inverse of record_line; raises CorruptRecord on any defect."""
+    """Strict inverse of record_line; raises CorruptRecord on any defect.
+
+    A line is accepted only if record_line writes it back unchanged (up
+    to its newline), so no two lines parse to the same record.
+    """
     try:
         raw = json.loads(line)
     except ValueError as exc:
         raise CorruptRecord("not JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise CorruptRecord("record is not an object")
-    if raw.get("v") != RECORD_VERSION:
+    if type(raw.get("v")) is not int or raw["v"] != RECORD_VERSION:
         raise CorruptRecord("unknown record version %r" % raw.get("v"))
     try:
         family = raw["family"]
         n = raw["n"]
-        key = bytes.fromhex(raw["key"])
-        forests = int(raw["forests"])
+        key = raw["key"]
+        forests = raw["forests"]
         bound_text = raw["bound"]
         verdict = raw["verdict"]
         exception = raw["exception"]
         ts = raw["ts"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptRecord("bad field: %s" % exc)
+    except KeyError as exc:
+        raise CorruptRecord("missing field: %s" % exc)
     if family not in ("23", "234"):
         raise CorruptRecord("unknown family %r" % family)
     if verdict not in _VERDICTS:
         raise CorruptRecord("unknown verdict %r" % verdict)
-    if not isinstance(n, int) or not isinstance(exception, bool):
+    if (
+        type(n) is not int
+        or type(exception) is not bool
+        or not all(type(x) is str for x in (key, forests, bound_text, ts))
+    ):
         raise CorruptRecord("wrong field types")
-    return SweepRecord(family, n, key, forests, bound_text, verdict, exception, ts)
+    try:
+        record = SweepRecord(
+            family, n, bytes.fromhex(key), int(forests), bound_text, verdict, exception, ts
+        )
+    except ValueError as exc:
+        raise CorruptRecord("bad field: %s" % exc)
+    if record_line(record) != line.rstrip("\n"):
+        raise CorruptRecord("not as record_line writes it")
+    return record
 
 
 def run_store_append(store, record):

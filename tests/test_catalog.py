@@ -14,10 +14,10 @@ from forestry import (
     q_bound,
 )
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
-from forestry.catalog import _check
 from forestry.cli import main
 from forestry.errors import CatalogMismatch
 from forestry.multigraph import degree_counts
+from forestry.named import _check
 
 # name: forests, (n2, n3, n4), exponents (a, c) of q = 2^(a/10) 198^(c/10), holds
 GOLDEN = {

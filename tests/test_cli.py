@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from forestry import canonical_key, enumerate_family, format_graph6
-from forestry.catalog import catalog_entry
 from forestry.cli import main
 from forestry.formats import parse_graph
+from forestry.named import catalog_entry
 from forestry.sweep import THEOREMS
 
 
@@ -264,7 +264,7 @@ def test_max_m_above_the_cap_is_refused_before_any_work(cli, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("lift_constant called")
 
-    monkeypatch.setattr("forestry.cli.lift_constant", never)
+    monkeypatch.setattr("forestry.lifts.lift_constant", never)
     rc, out, err = cli("constants", "--max-m", "9")
     assert (rc, out) == (2, "")
     assert "--max-m" in err and "1..5" in err
@@ -285,8 +285,8 @@ def test_family_range_errors_name_the_flag(cli, monkeypatch, argv, flag):
     def never(*args, **kwargs):
         raise AssertionError("generation started")
 
-    monkeypatch.setattr("forestry.cli.enumerate_family", never)
-    monkeypatch.setattr("forestry.cli.sweep_theorem", never)
+    monkeypatch.setattr("forestry.families.enumerate_family", never)
+    monkeypatch.setattr("forestry.sweep.sweep_theorem", never)
     rc, out, err = cli(*argv)
     assert (rc, out) == (2, "")
     assert f"error: {flag} must be at least 3" in err

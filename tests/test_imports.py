@@ -1,0 +1,83 @@
+"""The package namespace loads lazily, and a command imports only its layers.
+
+Each check runs in a fresh interpreter, since this one has long since
+loaded every module.  Only ``forestry.*`` modules are inspected: a site
+``.pth`` file may import standard-library modules before any of ours.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+EXPORTS = {
+    "automorphisms", "BoundExpr", "canonical_key", "catalog", "catalog_entry",
+    "CatalogEntry", "compare", "complete_lift", "components", "contract_edge",
+    "contract_set", "count_forests", "count_forests_bruteforce",
+    "count_forests_separating", "count_trees", "degree_counts", "delete_bundle",
+    "delete_edge", "delete_vertex", "enumerate_family", "enumerate_lifts",
+    "extension_count", "family_levels", "FamilySeries", "format_edge_list",
+    "format_graph6", "from_edge_list", "Gadget", "girth_limit", "induced",
+    "is_connected", "lift_constant", "lift_feasible_multigraph",
+    "lift_feasible_simple", "LiftConstant", "LiftPlan", "MemoCache",
+    "min_ratio_check", "MultiGraph", "p_bound", "parse_edge_list", "parse_graph",
+    "parse_graph6", "q_bound", "RatioReport", "relabel", "ring_family",
+    "run_store_append", "run_store_resume", "sweep_theorem", "SweepRecord",
+    "SweepSummary", "table2_check", "upper_bound_fd",
+}
+
+
+def _python(*args, stdin=""):
+    proc = subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def _loaded(code):
+    """The forestry modules loaded once `code` has run in a fresh interpreter."""
+    code += "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('forestry'))))"
+    return set(_python("-c", "import sys\n" + code)[0].split())
+
+
+def test_the_package_exports_the_same_names():
+    assert len(EXPORTS) == 54
+    assert _loaded("import forestry\nassert set(forestry.__all__) == %r" % EXPORTS) == {
+        "forestry"
+    }
+
+
+def test_an_unknown_name_is_refused_without_loading_anything():
+    code = "import forestry\nassert not hasattr(forestry, 'no_such_name')"
+    assert _loaded(code) == {"forestry"}
+
+
+def test_a_star_import_binds_every_name_and_leaves_a_plain_module():
+    code = "from forestry import *\nassert all(n in globals() for n in %r)" % EXPORTS
+    # a plain module, so that later reads of forestry.name are specialized
+    code += "\nimport forestry, types\nassert type(forestry) is types.ModuleType"
+    assert "forestry.sweep" in _loaded(code)
+
+
+def test_a_module_of_the_table_loads_the_namespace():
+    code = "import forestry\nassert forestry.sweep.__name__ == 'forestry.sweep'"
+    assert "forestry.named" in _loaded(code)
+
+
+def test_catalog_stays_a_function_after_a_submodule_import():
+    out, _ = _python(
+        "-c", "import forestry.sweep\nimport forestry\nprint(len(forestry.catalog()))"
+    )
+    assert out == "28\n"
+
+
+@pytest.mark.parametrize("stdin", ["3 3\n0 1\n1 2\n0 2\n", "Bw\n"])
+def test_a_stdin_count_loads_no_other_layer(stdin):
+    out, err = _python("-X", "importtime", "-m", "forestry.cli", "count", stdin=stdin)
+    assert out == "7\n"
+    # each -X importtime line ends in the module's name after a '|'
+    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
+    assert "forestry.counting" in loaded
+    unused = ("bounds", "lifts", "families", "sweep", "named")
+    assert loaded.isdisjoint(f"forestry.{name}" for name in unused)

@@ -180,6 +180,25 @@ def test_parse_record_rejects_damage():
         parse_record(good.replace('"38"', '"thirty-eight"'))
 
 
+@pytest.mark.parametrize(
+    "field, damaged",
+    [
+        ('"n": 4', '"n": true'),
+        ('"v": 1', '"v": true'),
+        ('"forests": "38"', '"forests": "3_8"'),
+        ('"key": "0102"', '"key": "01 02"'),
+        ('"bound": "2^12 3^6 / 4"', '"bound": 7'),
+    ],
+    ids=["bool-n", "bool-v", "underscored-forests", "spaced-key", "int-bound"],
+)
+def test_parse_record_accepts_only_what_record_line_writes(field, damaged):
+    good = record_line(make_record())
+    assert parse_record(good + "\n") == make_record()
+    assert field in good
+    with pytest.raises(CorruptRecord):
+        parse_record(good.replace(field, damaged))
+
+
 def test_append_to_unwritable_location_raises():
     with pytest.raises(IoError):
         run_store_append("/no/such/directory/runs.jsonl", make_record())
