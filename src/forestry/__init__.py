@@ -2,8 +2,9 @@
 
 The package provides the counting engine, lifting operations and their
 extremal constants, exact lower-bound comparators for degree-restricted
-graphs, a named-graph catalog, exhaustive family generators, theorem
-sweeps with a persistent run store, and a command-line front end.
+graphs, ring families and gadget ratios, a named-graph catalog,
+exhaustive family generators, theorem sweeps with a persistent run
+store, and a command-line front end.
 
 Importing the package loads none of its modules.  The first use of a
 name below, or of a module that exports them, imports every such module
@@ -30,10 +31,10 @@ _EXPORTS = {
     "formats": (
         "format_edge_list", "format_graph6", "parse_edge_list", "parse_graph", "parse_graph6",
     ),
-    "bounds": (
-        "BoundExpr", "FamilySeries", "Gadget", "RatioReport", "compare", "girth_limit",
-        "min_ratio_check", "p_bound", "q_bound", "ring_family", "table2_check",
-        "upper_bound_fd",
+    "bounds": ("BoundExpr", "compare", "p_bound", "q_bound"),
+    "rings": (
+        "FamilySeries", "Gadget", "RatioReport", "girth_limit", "min_ratio_check",
+        "ring_family", "table2_check", "upper_bound_fd",
     ),
     "lifts": (
         "LiftConstant", "LiftPlan", "complete_lift", "enumerate_lifts", "lift_constant",

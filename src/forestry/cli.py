@@ -6,7 +6,9 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure (a sweep violation, a catalog mismatch, or a
 cross-check disagreement), 2 usage or input errors.  Each command
 imports the layers it uses when it runs, so a count on stdin never
-loads the bounds, lifts, families, sweeps or catalog.
+loads the bounds, rings, lifts, families, sweeps or catalog, and a
+--catalog NAME command checks only that entry and loads the bounds but
+not the rings.
 """
 
 import argparse
@@ -229,7 +231,7 @@ def _radical_text(rb):
 
 def _cmd_constants(ns):
     if ns.fd is not None:
-        from .bounds import upper_bound_fd
+        from .rings import upper_bound_fd
 
         rb = upper_bound_fd(ns.fd)
         if ns.output == "json":
@@ -285,7 +287,7 @@ def _cmd_constants(ns):
 
 
 def _ratio_suites():
-    from .bounds import Gadget
+    from .rings import Gadget
     from .multigraph import from_edge_list
 
     double_star = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
@@ -354,7 +356,7 @@ def _table2_payload(report):
 
 
 def _cmd_ratio(ns):
-    from .bounds import min_ratio_check, table2_check
+    from .rings import min_ratio_check, table2_check
 
     suites = _ratio_suites()
     chosen = list(suites) + ["table2"] if ns.suite == "all" else [ns.suite]
@@ -397,9 +399,7 @@ def _cmd_catalog(ns):
     from .formats import format_edge_list
     from .named import catalog
 
-    entries = catalog()
-    if ns.name is not None:
-        entries = [_resolve_catalog(ns.name)]
+    entries = catalog() if ns.name is None else [_resolve_catalog(ns.name)]
     if ns.output == "json":
         out = []
         for e in entries:

@@ -2,9 +2,10 @@
 
 Each entry stores only what cannot be derived: its name, a summary, the
 graph, its forest count and whether the degree-{2, 3, 4} bound holds.
-Every entry is rebuilt from its edge list and re-counted on first access;
-a disagreement with the stored count or verdict raises CatalogMismatch
-instead of letting a bad transcription leak into downstream checks.
+Each entry is built from its edge list and re-counted the first time it
+is used, and only that entry; catalog() checks all 28.  A disagreement
+with the stored count or verdict raises CatalogMismatch instead of
+letting a bad transcription leak into downstream checks.
 """
 
 from dataclasses import dataclass
@@ -351,7 +352,7 @@ _RAW = [
     ),
 ]
 
-_ENTRIES = None
+_CHECKED = {}  # name -> entry, filled as each entry passes its check
 
 
 def _check(entry):
@@ -366,20 +367,18 @@ def _check(entry):
 
 
 def catalog():
-    """All named graphs, verified against their stored counts on first use."""
-    global _ENTRIES
-    if _ENTRIES is None:
-        entries = []
-        for name, summary, n, edges, forests, holds in _RAW:
-            entry = CatalogEntry(name, summary, from_edge_list(n, edges), forests, holds)
-            _check(entry)
-            entries.append(entry)
-        _ENTRIES = tuple(entries)
-    return list(_ENTRIES)
+    """All named graphs in table order, each verified on first use."""
+    return [catalog_entry(row[0]) for row in _RAW]
 
 
 def catalog_entry(name):
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError("no catalog graph named %r" % name)
+    """The named graph, verified against its stored count on first use."""
+    if name not in _CHECKED:
+        row = next((row for row in _RAW if row[0] == name), None)
+        if row is None:
+            raise KeyError("no catalog graph named %r" % name)
+        _, summary, n, edges, forests, holds = row
+        entry = CatalogEntry(name, summary, from_edge_list(n, edges), forests, holds)
+        _check(entry)
+        _CHECKED[name] = entry
+    return _CHECKED[name]

@@ -19,15 +19,8 @@ from forestry import (
     table2_check,
     upper_bound_fd,
 )
-from forestry.bounds import (
-    EQUAL,
-    GREATER,
-    LESS,
-    BoundExpr,
-    _ring_graph,
-    compare,
-    set_partitions,
-)
+from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr, compare
+from forestry.rings import _ring_graph, set_partitions
 from forestry.errors import (
     AttachmentMismatch,
     BridgeEdge,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import forestry.named as named
 from forestry import (
     CatalogEntry,
     canonical_key,
@@ -175,6 +176,52 @@ def test_tampered_entries_are_rejected():
     _check(CatalogEntry(good.name, good.summary, good.graph, 38, True))
 
 
-def test_unknown_name_raises():
+@pytest.fixture
+def fresh(monkeypatch):
+    """An empty per-entry table; returns the names _check runs for, in order."""
+    checked = []
+    real = named._check
+
+    def spy(entry):
+        checked.append(entry.name)
+        real(entry)
+
+    monkeypatch.setattr(named, "_CHECKED", {})
+    monkeypatch.setattr(named, "_check", spy)
+    return checked
+
+
+def test_an_entry_is_checked_alone_and_once(fresh):
+    entry = catalog_entry("K4")
+    assert fresh == ["K4"]
+    assert catalog_entry("K4") is entry
+    assert fresh == ["K4"]
+
+
+def test_catalog_name_checks_only_that_entry(fresh, capsys):
+    assert main(["catalog", "--name", "K4"]) == 0
+    assert capsys.readouterr().out.startswith("name K4\n")
+    assert fresh == ["K4"]
+
+
+def test_a_corrupt_row_fails_only_the_commands_that_use_it(fresh, monkeypatch):
+    rows = [r[:4] + (r[4] + 1,) + r[5:] if r[0] == "Z3" else r for r in named._RAW]
+    monkeypatch.setattr(named, "_RAW", rows)
+    assert catalog_entry("K4").forests == 38
+    with pytest.raises(CatalogMismatch):
+        catalog_entry("Z3")
+    with pytest.raises(CatalogMismatch):
+        catalog()
+
+
+def test_catalog_checks_every_entry_once_in_table_order(fresh):
+    entries = catalog()
+    assert [e.name for e in entries] == list(GOLDEN) == fresh
+    assert all(catalog_entry(e.name) is e for e in entries)
+    assert [e.name for e in catalog()] == fresh == list(GOLDEN)
+
+
+def test_unknown_name_raises(fresh):
     with pytest.raises(KeyError):
         catalog_entry("K7")
+    assert fresh == []

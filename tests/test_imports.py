@@ -72,12 +72,47 @@ def test_catalog_stays_a_function_after_a_submodule_import():
     assert out == "28\n"
 
 
+def _cli_imports(*argv, stdin=""):
+    """stdout of `forestry ARGV` and the forestry modules loaded when it exits.
+
+    sys.modules, not ``-X importtime``: the package's first-use hook loads
+    its modules through importlib, which ``-X importtime`` does not report.
+    """
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['forestry', *%r]\n"
+        "try:\n"
+        "    runpy.run_module('forestry.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    loaded = [m for m in sys.modules if m.startswith('forestry')]\n"
+        "    sys.stderr.write('\\n' + ' '.join(loaded))\n"
+    ) % (argv,)
+    out, err = _python("-c", code, stdin=stdin)
+    return out, set(err.splitlines()[-1].split())
+
+
 @pytest.mark.parametrize("stdin", ["3 3\n0 1\n1 2\n0 2\n", "Bw\n"])
 def test_a_stdin_count_loads_no_other_layer(stdin):
-    out, err = _python("-X", "importtime", "-m", "forestry.cli", "count", stdin=stdin)
+    out, loaded = _cli_imports("count", stdin=stdin)
     assert out == "7\n"
-    # each -X importtime line ends in the module's name after a '|'
-    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
     assert "forestry.counting" in loaded
-    unused = ("bounds", "lifts", "families", "sweep", "named")
+    unused = ("bounds", "rings", "lifts", "families", "sweep", "named")
     assert loaded.isdisjoint(f"forestry.{name}" for name in unused)
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [(("count", "--catalog", "K4"), "38"), (("bound", "--catalog", "H2"), "forests 52485")],
+)
+def test_a_catalog_command_loads_the_bounds_but_not_the_rings(argv, first):
+    out, loaded = _cli_imports(*argv)
+    assert out.splitlines()[0] == first
+    assert {"forestry.named", "forestry.bounds"} <= loaded
+    unused = ("rings", "lifts", "families", "sweep")
+    assert loaded.isdisjoint(f"forestry.{name}" for name in unused)
+
+
+def test_a_ratio_command_loads_the_rings():
+    out, loaded = _cli_imports("ratio", "--suite", "diamond")
+    assert out.startswith("suite diamond\n")
+    assert "forestry.rings" in loaded
