@@ -20,9 +20,8 @@ from types import ModuleType as _ModuleType
 # module -> the names the package exports from it
 _EXPORTS = {
     "multigraph": (
-        "MultiGraph", "automorphisms", "canonical_key", "components", "contract_edge",
-        "contract_set", "degree_counts", "delete_bundle", "delete_edge", "delete_vertex",
-        "from_edge_list", "induced", "is_connected", "relabel",
+        "MultiGraph", "automorphisms", "canonical_key", "contract_edge", "contract_set",
+        "degree_counts", "delete_edge", "from_edge_list", "is_connected",
     ),
     "counting": (
         "MemoCache", "count_forests", "count_forests_bruteforce", "count_forests_separating",
@@ -33,12 +32,12 @@ _EXPORTS = {
     ),
     "bounds": ("BoundExpr", "compare", "p_bound", "q_bound"),
     "rings": (
-        "FamilySeries", "Gadget", "RatioReport", "girth_limit", "min_ratio_check",
-        "ring_family", "table2_check", "upper_bound_fd",
+        "FamilySeries", "Gadget", "RatioReport", "min_ratio_check", "ring_family",
+        "table2_check", "upper_bound_fd",
     ),
     "lifts": (
-        "LiftConstant", "LiftPlan", "complete_lift", "enumerate_lifts", "lift_constant",
-        "lift_feasible_multigraph", "lift_feasible_simple",
+        "LiftConstant", "LiftPlan", "enumerate_lifts", "lift_constant",
+        "lift_feasible_multigraph",
     ),
     "families": ("enumerate_family", "family_levels"),
     "named": ("CatalogEntry", "catalog", "catalog_entry"),

@@ -8,7 +8,8 @@ cross-check disagreement), 2 usage or input errors.  Each command
 imports the layers it uses when it runs, so a count on stdin never
 loads the bounds, rings, lifts, families, sweeps or catalog, and a
 --catalog NAME command checks only that entry and loads the bounds but
-not the rings.
+not the rings.  The parser takes the --brute-cap default from the
+counting layer, so every command loads that one.
 """
 
 import argparse
@@ -27,8 +28,13 @@ def _check_args(ns):
         if args.get(flag) is not None and args[flag] < low:
             name = "--" + flag.replace("_", "-")
             raise ValueError(f"{name} must be at least {low}, got {args[flag]}")
-    if ns.subcommand == "count" and ns.brute_cap is not None and not ns.cross_check:
-        raise ValueError("--brute-cap only applies with --cross-check")
+    if ns.subcommand == "count" and ns.brute_cap is not None:
+        from .counting import BRUTE_FORCE_CEILING as ceiling
+
+        if not ns.cross_check:
+            raise ValueError("--brute-cap only applies with --cross-check")
+        if ns.brute_cap > ceiling:
+            raise ValueError(f"--brute-cap must be at most {ceiling}, got {ns.brute_cap}")
     if ns.subcommand == "constants" and ns.fd is not None:
         # --max-m and --kind choose lift constants, which --fd does not compute
         for flag in ("max_m", "kind"):
@@ -77,13 +83,19 @@ def _emit_json(obj):
 
 def _cmd_count(ns):
     """count and trees: text shows the one count, JSON both and the cache's hits."""
-    from .counting import MemoCache, count_forests, count_forests_bruteforce, count_trees
+    from .counting import (
+        BRUTE_FORCE_CAP,
+        MemoCache,
+        count_forests,
+        count_forests_bruteforce,
+        count_trees,
+    )
 
     cache = MemoCache()
     g = _load_graph(ns)
     value = (count_forests if ns.subcommand == "count" else count_trees)(g, cache)
     if getattr(ns, "cross_check", False):
-        brute = count_forests_bruteforce(g, cap=ns.brute_cap or 24)
+        brute = count_forests_bruteforce(g, ns.brute_cap or BRUTE_FORCE_CAP)
         if brute != value:
             print(
                 f"error: engine counts {value} forests, brute force {brute}",
@@ -459,6 +471,8 @@ _DISPATCH = {
 
 
 def build_parser():
+    from .counting import BRUTE_FORCE_CAP
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--output",
@@ -503,7 +517,7 @@ def build_parser():
         type=int,
         default=None,
         metavar="M",
-        help="refuse --cross-check beyond M edges (default: 24)",
+        help=f"refuse --cross-check beyond M edges (default: {BRUTE_FORCE_CAP})",
     )
 
     sub.add_parser(

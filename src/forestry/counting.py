@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .errors import EdgeAbsent, InvalidPartition, TooLarge, VertexOutOfRange
-from .multigraph import _identify, contract_set, from_edge_list, is_connected
+from .errors import InvalidPartition, TooLarge, VertexOutOfRange
+from .multigraph import _identify, contract_set, is_connected
 
 FORESTS = "F"
 TREES = "T"
@@ -30,6 +30,11 @@ TREES = "T"
 # many frontier partitions.  A join at most doubles the table, so it never
 # holds more than twice as many.  K11 peaks at 115975 states, K12 at 678570.
 MAX_STATES = 2**18
+# count_forests_bruteforce refuses more than cap edges, by default
+# BRUTE_FORCE_CAP, and never more than BRUTE_FORCE_CEILING whatever the
+# cap: it recurses once per edge, and 2^64 subsets would never finish.
+BRUTE_FORCE_CAP = 24
+BRUTE_FORCE_CEILING = 64
 
 
 class MemoCache:
@@ -217,12 +222,14 @@ def _trees(g):
     return pivots[-1]
 
 
-def count_forests_bruteforce(g, cap=24):
+def count_forests_bruteforce(g, cap=BRUTE_FORCE_CAP):
     """Count acyclic edge subsets directly; parallel copies distinguishable.
 
     A subset containing two copies of a parallel bundle is cyclic, so it
-    is never counted.  Raises TooLarge above the edge cap.
+    is never counted.  Raises TooLarge above the edge cap, and above
+    BRUTE_FORCE_CEILING edges whatever the cap.
     """
+    cap = min(cap, BRUTE_FORCE_CEILING)
     if g.m > cap:
         raise TooLarge(f"{g.m} edges exceeds the brute-force cap {cap}")
     edges = g.edge_list()
@@ -261,34 +268,22 @@ def count_forests_separating(g, vset):
     return count_forests(contract_set(g, vs))
 
 
-def extension_count(g, gadget_edges, partition):
-    """Forest count of the gadget with each partition block identified.
+def extension_count(g, partition):
+    """Forest count of g with each block of partition identified to one vertex.
 
-    gadget_edges is a multiset of (u, v) pairs taken from g; partition
-    is an iterable of blocks of gadget vertices.  The union of the
-    blocks must cover every gadget vertex that also meets an edge of g
-    outside the gadget (its attachment vertices); blocks over further
-    gadget vertices are allowed, since any host could attach there.
+    g is a gadget on its own: any of its vertices could meet a host, so a
+    block may hold any vertex that has an edge.  Blocks are nonempty and
+    disjoint; vertices in no block stay as they are.
     """
-    gadget = from_edge_list(g.n, gadget_edges)
-    for u, v, t in gadget.bundles():
-        if g.multiplicity(u, v) < t:
-            raise EdgeAbsent(f"gadget uses {t} copies of {u}-{v}, graph has fewer")
-    rows = gadget._adj
-
     blocks = [tuple(sorted(set(b))) for b in partition]
     covered = set()
     for b in blocks:
         if not b:
             raise InvalidPartition("empty block")
         for x in b:
-            if type(x) is not int or not 0 <= x < g.n or not rows[x]:
+            if type(x) is not int or not 0 <= x < g.n or not g._adj[x]:
                 raise InvalidPartition(f"block vertex {x} is not a gadget vertex")
             if x in covered:
                 raise InvalidPartition(f"vertex {x} appears in two blocks")
             covered.add(x)
-    for w in range(g.n):
-        if rows[w] and w not in covered and g.degree(w) > gadget.degree(w):
-            raise InvalidPartition(f"attachment vertex {w} is not in any block")
-    # the vertices of g outside the gadget stay isolated: a factor of 1
-    return count_forests(_identify(gadget, blocks))
+    return count_forests(_identify(g, blocks))

@@ -37,10 +37,6 @@ class NotSimple(ForestryError):
     """A simple-graph operation was applied to a multigraph."""
 
 
-class InvalidPlan(ForestryError):
-    """A lift plan does not match the graph it is applied to."""
-
-
 class CapExceeded(ForestryError):
     """A configured enumeration cap was exceeded."""
 

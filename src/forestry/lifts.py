@@ -19,19 +19,17 @@ from fractions import Fraction
 from math import prod
 
 from .counting import count_forests, count_trees
-from .errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
+from .errors import CapExceeded, OddDegree
 from .multigraph import (
     MultiGraph,
     _components,
     _derive,
-    _without,
     canonical_key,
     from_edge_list,
     is_connected,
 )
 
 DEFAULT_CONSTANT_CAP = 5
-SIMPLE_SEARCH_DEGREE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -66,11 +64,10 @@ def _endpoint_multiset(g, x):
     return out
 
 
-def _pairings(ends, host=None):
+def _pairings(ends):
     """Each pairing of the sorted list ends once, as a sorted tuple of pairs.
 
-    No pair joins two equal ends, nor, given host, two ends already
-    adjacent in it.  Pairings come out in lexicographic order.
+    No pair joins two equal ends.  Pairings come out in lexicographic order.
     """
 
     def rec(rest, acc):
@@ -87,8 +84,6 @@ def _pairings(ends, host=None):
             if b == a or b == last or b < low:
                 continue
             last = b
-            if host is not None and b in host._adj[a]:
-                continue
             acc.append((a, b))
             yield from rec(rest[1:i] + rest[i + 1 :], acc)
             acc.pop()
@@ -110,53 +105,7 @@ def lift_feasible_multigraph(g, x):
     return len(_components(g._adj, x, m + 1)) <= m + 1
 
 
-def lift_feasible_simple(g, x):
-    """Can x be completely lifted with every added edge new to g?
-
-    Requires a perfect matching on N(x) inside the complement of the
-    induced neighborhood.  Exhaustive search, capped at degree 8.
-    """
-    for u, v, t in g.bundles():
-        if t > 1:
-            raise NotSimple(f"parallel bundle {u}-{v}, simple-mode lift undefined")
-    d = g.degree(x)
-    if d > SIMPLE_SEARCH_DEGREE_CAP:
-        raise CapExceeded(f"degree {d} exceeds the pairing-search cap")
-    _half_degree(g, x)
-    return next(_pairings(sorted(g.neighbors(x)), g), None) is not None
-
-
-def _validate_plan(g, x, plan, simple):
-    if plan.center != x:
-        raise InvalidPlan(f"plan is centered at {plan.center}, not {x}")
-    ends = []
-    for pair in plan.pairs:
-        if len(pair) != 2:
-            raise InvalidPlan(f"pair {pair!r} is not a 2-tuple")
-        a, b = pair
-        if a == b:
-            raise InvalidPlan(f"pair ({a}, {b}) would create a loop")
-        if simple and g.multiplicity(a, b):
-            raise InvalidPlan(f"pair ({a}, {b}) is already an edge, result not simple")
-        ends.extend(pair)
-    g._check(x)
-    if sorted(ends) != _endpoint_multiset(g, x):
-        raise InvalidPlan("pairs do not use each edge at the center exactly once")
-
-
-def complete_lift(g, x, plan, simple=False):
-    """Apply a complete lift of x along plan; the result drops x."""
-    _validate_plan(g, x, plan, simple)
-    return _lift(g, x, plan.pairs)
-
-
-def _lift(g, x, pairs):
-    """The complete lift of x along pairs, which the caller has checked."""
-    vmap = _without(g.n, x)
-    return _derive(g, g.n - 1, vmap, [(vmap[a], vmap[b]) for a, b in pairs])
-
-
-def enumerate_lifts(g, x, simple=False):
+def enumerate_lifts(g, x):
     """All distinct pairings at x with their lifted multigraphs.
 
     Pairings are deduplicated as multisets of pairs (two parallel copies
@@ -164,10 +113,11 @@ def enumerate_lifts(g, x, simple=False):
     result, and come out in lexicographic order.
     """
     _half_degree(g, x)
-    host = g if simple else None
+    # x goes, and the ids above it shift down by one
+    vmap = [v - (v > x) if v != x else None for v in range(g.n)]
     return [
-        (LiftPlan(x, pairing), _lift(g, x, pairing))
-        for pairing in _pairings(_endpoint_multiset(g, x), host)
+        (LiftPlan(x, pairs), _derive(g, g.n - 1, vmap, [(vmap[a], vmap[b]) for a, b in pairs]))
+        for pairs in _pairings(_endpoint_multiset(g, x))
     ]
 
 

@@ -16,14 +16,13 @@ from .errors import EdgeAbsent, LoopRejected, VertexOutOfRange
 class MultiGraph:
     __slots__ = ("n", "_adj", "_key")
 
-    def __init__(self, n, adj=None):
-        # adj is a list of {neighbor: multiplicity} dicts with ascending
-        # keys, already symmetric; use from_edge_list for raw input.
-        # Omitting it gives the edgeless graph on n vertices.
+    def __init__(self, n):
+        # the edgeless graph on n vertices; from_edge_list and the minors
+        # fill the rows, {neighbor: multiplicity} dicts with ascending keys
         if type(n) is not int or n < 0:
             raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
         self.n = n
-        self._adj = [{} for _ in range(n)] if adj is None else adj
+        self._adj = [{} for _ in range(n)]
         self._key = None
 
     @property
@@ -80,13 +79,14 @@ class MultiGraph:
 
 def _build(n, mults):
     """mults: {(u, v) with u < v: multiplicity} -> MultiGraph, zero bundles dropped."""
-    adj = [{} for _ in range(n)]
+    g = MultiGraph(n)
+    adj = g._adj
     # lexicographic pair order makes every neighbor dict ascending
     for (u, v), t in sorted(mults.items()):
         if t > 0:
             adj[u][v] = t
             adj[v][u] = t
-    return MultiGraph(n, adj)
+    return g
 
 
 def from_edge_list(n, pairs):
@@ -137,52 +137,14 @@ def _derive(g, n, vmap, extra=()):
     return _build(n, mults)
 
 
-def relabel(g, perm):
-    """Apply a bijection perm (perm[old] = new) to vertex ids."""
-    if sorted(perm) != list(range(g.n)):
-        raise VertexOutOfRange("perm is not a bijection on 0..n-1")
-    return _derive(g, g.n, perm)
-
-
-def induced(g, vertices):
-    """Subgraph induced on the given vertices, relabeled to 0..k-1 by rank."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        g._check(v)
-    vmap = [None] * g.n
-    for i, v in enumerate(vs):
-        vmap[v] = i
-    return _derive(g, len(vs), vmap)
-
-
 def delete_edge(g, u, v):
     """Remove one copy of the edge uv."""
-    return _remove_copies(g, u, v, 1)
-
-
-def delete_bundle(g, u, v):
-    """Remove every parallel copy between u and v."""
-    return _remove_copies(g, u, v, g.multiplicity(u, v))
-
-
-def _remove_copies(g, u, v, k):
     t = g.multiplicity(u, v)
     if t == 0:
         raise EdgeAbsent(f"no edge between {u} and {v}")
     mults = {(a, b): s for a, b, s in g.bundles()}
-    mults[(u, v) if u < v else (v, u)] = t - k  # _build drops a bundle at 0
+    mults[(u, v) if u < v else (v, u)] = t - 1  # _build drops a bundle at 0
     return _build(g.n, mults)
-
-
-def delete_vertex(g, v):
-    """Remove v and its edges; ids above v shift down by one."""
-    g._check(v)
-    return _derive(g, g.n - 1, _without(g.n, v))
-
-
-def _without(n, x):
-    """The vertex map that drops x and shifts the ids above it down."""
-    return [v - (v > x) if v != x else None for v in range(n)]
 
 
 def contract_edge(g, u, v):
@@ -232,11 +194,6 @@ def _identify(g, groups):
         newid.append(nid)
         nid += rep[v] == v
     return _derive(g, nid, [newid[r] for r in rep])
-
-
-def components(g):
-    """Vertex sets of connected components, each sorted, ordered by min."""
-    return [sorted(comp) for comp in _components(g._adj)]
 
 
 def _components(adj, skip=None, limit=None):

@@ -76,13 +76,6 @@ def upper_bound_fd(d, cap=DEFAULT_FD_CAP):
     return RadicalBound(radicand, n, outer, inner, factors)
 
 
-def girth_limit(d):
-    """Reference growth constant of high-girth d-regular graphs."""
-    if d < 3:
-        raise ValueError(f"d = {d} is below 3")
-    return (d - 1) ** (d - 1) / (d * d - 2 * d - 1) ** (d / 2 - 1)
-
-
 @dataclass(frozen=True)
 class FamilyRow:
     m: int
@@ -195,7 +188,7 @@ def _check_gadget(g):
 def _extensions(gadget, part):
     """The gadget's extension count with each block of attachment positions identified."""
     blocks = [[gadget.attachments[i] for i in block] for block in part]
-    return extension_count(gadget.graph, gadget.graph.edge_list(), blocks)
+    return extension_count(gadget.graph, blocks)
 
 
 def min_ratio_check(gadget_a, gadget_b):

@@ -186,6 +186,11 @@ def rebuild(g, n, vmap, extra=()):
     return from_edge_list(n, kept + list(extra))
 
 
+def relabeled(g, perm):
+    """g with vertex v renamed perm[v], rebuilt from its edge list."""
+    return rebuild(g, g.n, perm)
+
+
 def reference_family_levels(degree_set, n_max):
     """{n: sorted member keys} for n = 3..n_max, by growing and deduplicating keys.
 
@@ -229,35 +234,28 @@ def reference_family_levels(degree_set, n_max):
     return levels
 
 
-def reference_lift_feasible(g, x):
-    """The feasibility route that builds g - x: no neighbour carries more
-    than m of x's 2m edges, and g - x has at most m + 1 components."""
-    from forestry import components, delete_vertex
+def component_count(g, skip=None):
+    """Components of g, less vertex skip, by union-find over its edge copies."""
+    parent = list(range(g.n))
 
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edge_list():
+        if skip not in (u, v):
+            parent[find(u)] = find(v)
+    return len({find(v) for v in range(g.n) if v != skip})
+
+
+def reference_lift_feasible(g, x):
+    """The feasibility route through g - x: no neighbour carries more
+    than m of x's 2m edges, and g - x has at most m + 1 components."""
     m = g.degree(x) // 2
     if any(g.multiplicity(x, y) > m for y in g.neighbors(x)):
         return False
-    return len(components(delete_vertex(g, x))) <= m + 1
-
-
-def reference_simple_lift_exists(g, x):
-    """Is there a perfect matching on N(x) using only pairs not adjacent in g?
-
-    A search that pairs the first neighbour with each later one it may
-    join and stops at the first complete matching.
-    """
-
-    def match(rest):
-        if not rest:
-            return True
-        a = rest[0]
-        for i in range(1, len(rest)):
-            if g.multiplicity(a, rest[i]) == 0:
-                if match(rest[1:i] + rest[i + 1 :]):
-                    return True
-        return False
-
-    return match(sorted(g.neighbors(x)))
+    return component_count(g, x) <= m + 1
 
 
 def reference_graphs_with_degrees(seq):

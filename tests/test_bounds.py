@@ -11,7 +11,6 @@ from forestry import (
     count_forests,
     delete_edge,
     from_edge_list,
-    girth_limit,
     min_ratio_check,
     p_bound,
     q_bound,
@@ -168,14 +167,6 @@ def test_upper_bound_fd_range():
     with pytest.raises(CapExceeded):
         upper_bound_fd(7)
     assert upper_bound_fd(7, cap=7).index == 8
-
-
-def test_girth_limit_values():
-    assert math.isclose(girth_limit(3), 2**1.5)
-    assert math.isclose(girth_limit(4), 27 / 7)
-    assert math.isclose(girth_limit(5), 4**4 / 14**1.5)
-    with pytest.raises(ValueError):
-        girth_limit(2)
 
 
 # -- the ring family -------------------------------------------------------

@@ -80,6 +80,18 @@ def test_count_cross_check(cli):
     assert "--brute-cap" in err
 
 
+def test_a_brute_cap_above_the_ceiling_is_a_usage_error():
+    # the brute-force search recurses once per edge, so a cap above the
+    # ceiling is refused before a 1600-cycle could pass the recursion limit
+    cycle = "1600 1600\n" + "".join(f"{i} {(i + 1) % 1600}\n" for i in range(1600))
+    argv = ["count", "--cross-check", "--brute-cap", "5000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "forestry.cli", *argv], input=cycle, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --brute-cap must be at most 64, got 5000\n"
+
+
 def test_trees_k5(cli):
     rc, out, _ = cli("trees", "--catalog", "K5")
     assert rc == 0

@@ -5,26 +5,29 @@ loaded every module.  Only ``forestry.*`` modules are inspected: a site
 ``.pth`` file may import standard-library modules before any of ours.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import forestry
+
 EXPORTS = {
     "automorphisms", "BoundExpr", "canonical_key", "catalog", "catalog_entry",
-    "CatalogEntry", "compare", "complete_lift", "components", "contract_edge",
-    "contract_set", "count_forests", "count_forests_bruteforce",
-    "count_forests_separating", "count_trees", "degree_counts", "delete_bundle",
-    "delete_edge", "delete_vertex", "enumerate_family", "enumerate_lifts",
+    "CatalogEntry", "compare", "contract_edge", "contract_set", "count_forests",
+    "count_forests_bruteforce", "count_forests_separating", "count_trees",
+    "degree_counts", "delete_edge", "enumerate_family", "enumerate_lifts",
     "extension_count", "family_levels", "FamilySeries", "format_edge_list",
-    "format_graph6", "from_edge_list", "Gadget", "girth_limit", "induced",
-    "is_connected", "lift_constant", "lift_feasible_multigraph",
-    "lift_feasible_simple", "LiftConstant", "LiftPlan", "MemoCache",
+    "format_graph6", "from_edge_list", "Gadget", "is_connected", "lift_constant",
+    "lift_feasible_multigraph", "LiftConstant", "LiftPlan", "MemoCache",
     "min_ratio_check", "MultiGraph", "p_bound", "parse_edge_list", "parse_graph",
-    "parse_graph6", "q_bound", "RatioReport", "relabel", "ring_family",
-    "run_store_append", "run_store_resume", "sweep_theorem", "SweepRecord",
-    "SweepSummary", "table2_check", "upper_bound_fd",
+    "parse_graph6", "q_bound", "RatioReport", "ring_family", "run_store_append",
+    "run_store_resume", "sweep_theorem", "SweepRecord", "SweepSummary",
+    "table2_check", "upper_bound_fd",
 }
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _python(*args, stdin=""):
@@ -42,10 +45,33 @@ def _loaded(code):
 
 
 def test_the_package_exports_the_same_names():
-    assert len(EXPORTS) == 54
+    assert len(EXPORTS) == 46
     assert _loaded("import forestry\nassert set(forestry.__all__) == %r" % EXPORTS) == {
         "forestry"
     }
+
+
+def _names_used(path):
+    """Every name, attribute and imported name that the file mentions in code."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+    return used
+
+
+def test_every_export_has_a_caller():
+    # a caller is another module of the package, the benchmark or the
+    # acceptance file; a name only its own unit tests call is not exported
+    files = [p for p in sorted((ROOT / "src" / "forestry").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_names_used, files))
+    unused = sorted(set(forestry.__all__) - used)
+    assert not unused, f"exported, but nothing calls: {unused}"
 
 
 def test_an_unknown_name_is_refused_without_loading_anything():

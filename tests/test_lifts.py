@@ -14,27 +14,23 @@ from forestry import (
     from_edge_list,
     is_connected,
 )
-from forestry.errors import CapExceeded, InvalidPlan, NotSimple, OddDegree
+from forestry.errors import CapExceeded, OddDegree
 from forestry.lifts import (
     LiftPlan,
     _partitions,
-    complete_lift,
     enumerate_lifts,
     graphs_with_degrees,
     lift_constant,
     lift_feasible_multigraph,
-    lift_feasible_simple,
 )
 
 from oracles import (
     brute_force_pairings,
-    complete_graph,
     cycle_graph,
     path_graph,
     rand_multigraph,
     reference_graphs_with_degrees,
     reference_lift_feasible,
-    reference_simple_lift_exists,
 )
 
 
@@ -112,30 +108,7 @@ def test_feasible_multigraph_odd_degree():
         lift_feasible_multigraph(path_graph(3), 0)
 
 
-def test_feasible_simple_basics():
-    star4 = from_edge_list(5, [(0, i) for i in range(1, 5)])
-    assert lift_feasible_simple(star4, 0)
-    # neighborhood induces K4, complement has nothing to match with
-    assert not lift_feasible_simple(complete_graph(5), 0)
-
-
-def test_feasible_simple_k33_neighborhood():
-    g = k33_with_apex()
-    assert g.degree(0) == 6
-    assert not lift_feasible_simple(g, 0)
-
-
-def test_feasible_simple_guards():
-    with pytest.raises(NotSimple):
-        lift_feasible_simple(from_edge_list(2, [(0, 1), (0, 1)]), 0)
-    with pytest.raises(OddDegree):
-        lift_feasible_simple(path_graph(2), 0)
-    big_star = from_edge_list(11, [(0, i) for i in range(1, 11)])
-    with pytest.raises(CapExceeded):
-        lift_feasible_simple(big_star, 0)
-
-
-# -- complete_lift -------------------------------------------------------
+# -- complete lifts ------------------------------------------------------
 
 
 def test_lift_of_c4_is_a_triangle():
@@ -156,15 +129,13 @@ def test_lift_of_triangle_is_a_two_cycle():
 def test_degree_two_lift_matches_delete_then_join():
     # lifting a degree-2 vertex is exactly: drop it, join its neighbors
     g = from_edge_list(5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (4, 1), (2, 4)])
-    plan = LiftPlan(0, ((1, 3),))
-    lifted = complete_lift(g, 0, plan)
     direct = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 2)])
-    assert lifted == direct
+    assert enumerate_lifts(g, 0) == [(LiftPlan(0, ((1, 3),)), direct)]
 
 
 def test_lift_in_the_middle_shifts_ids():
     plan = LiftPlan(1, ((0, 2),))
-    assert complete_lift(path_graph(3), 1, plan) == from_edge_list(2, [(0, 1)])
+    assert enumerate_lifts(path_graph(3), 1) == [(plan, from_edge_list(2, [(0, 1)]))]
 
 
 def test_lift_preserves_other_degrees():
@@ -183,20 +154,6 @@ def test_lift_preserves_other_degrees():
                     continue
                 assert result.degree(y - 1 if y > x else y) == g.degree(y)
         done += 1
-
-
-def test_invalid_plans():
-    g = cycle_graph(4)
-    with pytest.raises(InvalidPlan):
-        complete_lift(g, 0, LiftPlan(1, ((1, 3),)))
-    with pytest.raises(InvalidPlan):
-        complete_lift(g, 0, LiftPlan(0, ((1, 1),)))
-    with pytest.raises(InvalidPlan):
-        complete_lift(g, 0, LiftPlan(0, ((1, 2),)))
-    with pytest.raises(InvalidPlan):
-        complete_lift(g, 0, LiftPlan(0, ((1, 3), (1, 3))))
-    with pytest.raises(InvalidPlan):
-        complete_lift(cycle_graph(3), 0, LiftPlan(0, ((1, 2),)), simple=True)
 
 
 # -- enumeration ---------------------------------------------------------
@@ -227,25 +184,6 @@ def test_enumerate_is_deterministic():
         if g.degree(x) % 2:
             continue
         assert enumerate_lifts(g, x) == enumerate_lifts(g, x)
-
-
-def test_enumerate_simple_mode_matches_feasibility():
-    rng = random.Random(40)
-    done = 0
-    while done < 60:
-        g = rand_multigraph(rng, max_n=7, max_edges=10, max_mult=1)
-        centers = [
-            x for x in range(g.n) if g.degree(x) % 2 == 0 and 0 < g.degree(x) <= 8
-        ]
-        if not centers:
-            continue
-        x = centers[rng.randrange(len(centers))]
-        plans = enumerate_lifts(g, x, simple=True)
-        assert bool(plans) == lift_feasible_simple(g, x)
-        assert lift_feasible_simple(g, x) == reference_simple_lift_exists(g, x)
-        for _, result in plans:
-            assert all(t == 1 for _, _, t in result.bundles())
-        done += 1
 
 
 def test_a_pairing_with_a_repeated_end_comes_once():
@@ -279,8 +217,6 @@ def test_enumerated_plans_are_every_distinct_pairing():
         x = centers[rng.randrange(len(centers))]
         every = brute_force_pairings(endpoint_multiset(g, x))
         assert [p.pairs for p, _ in enumerate_lifts(g, x)] == every
-        new_only = [p for p in every if not any(g.multiplicity(a, b) for a, b in p)]
-        assert [p.pairs for p, _ in enumerate_lifts(g, x, simple=True)] == new_only
         done += 1
 
 
