@@ -8,8 +8,7 @@ cross-check disagreement), 2 usage or input errors.  Each command
 imports the layers it uses when it runs, so a count on stdin never
 loads the bounds, rings, lifts, families, sweeps or catalog, and a
 --catalog NAME command checks only that entry and loads the bounds but
-not the rings.  The parser takes the --brute-cap default from the
-counting layer, so every command loads that one.
+not the rings.
 """
 
 import argparse
@@ -24,17 +23,10 @@ SCHEMA_VERSION = 1
 def _check_args(ns):
     """Refuse bad arguments before any real work."""
     args = vars(ns)
-    for flag, low in (("brute_cap", 1), ("max_n", 3), ("family_cap", 3), ("n", 3)):
+    for flag, low in (("max_n", 3), ("family_cap", 3), ("n", 3)):
         if args.get(flag) is not None and args[flag] < low:
             name = "--" + flag.replace("_", "-")
             raise ValueError(f"{name} must be at least {low}, got {args[flag]}")
-    if ns.subcommand == "count" and ns.brute_cap is not None:
-        from .counting import BRUTE_FORCE_CEILING as ceiling
-
-        if not ns.cross_check:
-            raise ValueError("--brute-cap only applies with --cross-check")
-        if ns.brute_cap > ceiling:
-            raise ValueError(f"--brute-cap must be at most {ceiling}, got {ns.brute_cap}")
     if ns.subcommand == "constants" and ns.fd is not None:
         # --max-m and --kind choose lift constants, which --fd does not compute
         for flag in ("max_m", "kind"):
@@ -83,19 +75,13 @@ def _emit_json(obj):
 
 def _cmd_count(ns):
     """count and trees: text shows the one count, JSON both and the cache's hits."""
-    from .counting import (
-        BRUTE_FORCE_CAP,
-        MemoCache,
-        count_forests,
-        count_forests_bruteforce,
-        count_trees,
-    )
+    from .counting import MemoCache, count_forests, count_forests_bruteforce, count_trees
 
     cache = MemoCache()
     g = _load_graph(ns)
     value = (count_forests if ns.subcommand == "count" else count_trees)(g, cache)
     if getattr(ns, "cross_check", False):
-        brute = count_forests_bruteforce(g, ns.brute_cap or BRUTE_FORCE_CAP)
+        brute = count_forests_bruteforce(g)
         if brute != value:
             print(
                 f"error: engine counts {value} forests, brute force {brute}",
@@ -177,9 +163,7 @@ def _cmd_verify(ns):
 
     theorem = "T" + ns.theorem
     degree_set = THEOREMS[theorem][0]
-    n_max = ns.max_n
-    if n_max is None:
-        n_max = DEFAULT_FAMILY_CAPS[frozenset(degree_set)]
+    n_max = ns.max_n or ns.family_cap or DEFAULT_FAMILY_CAPS[frozenset(degree_set)]
     summary = sweep_theorem(
         theorem, n_max, store=ns.store, resume=ns.resume, cap=ns.family_cap
     )
@@ -471,8 +455,6 @@ _DISPATCH = {
 
 
 def build_parser():
-    from .counting import BRUTE_FORCE_CAP
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--output",
@@ -510,14 +492,8 @@ def build_parser():
     p.add_argument(
         "--cross-check",
         action="store_true",
-        help="also count by brute-force edge-subset enumeration",
-    )
-    p.add_argument(
-        "--brute-cap",
-        type=int,
-        default=None,
-        metavar="M",
-        help=f"refuse --cross-check beyond M edges (default: {BRUTE_FORCE_CAP})",
+        help="also count by brute-force edge-subset enumeration"
+        " (refused beyond 24 edges)",
     )
 
     sub.add_parser(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .errors import InvalidPartition, TooLarge, VertexOutOfRange
+from .errors import InvalidPartition, TooLarge
 from .multigraph import _identify, contract_set, is_connected
 
 FORESTS = "F"
@@ -30,11 +30,9 @@ TREES = "T"
 # many frontier partitions.  A join at most doubles the table, so it never
 # holds more than twice as many.  K11 peaks at 115975 states, K12 at 678570.
 MAX_STATES = 2**18
-# count_forests_bruteforce refuses more than cap edges, by default
-# BRUTE_FORCE_CAP, and never more than BRUTE_FORCE_CEILING whatever the
-# cap: it recurses once per edge, and 2^64 subsets would never finish.
+# count_forests_bruteforce refuses more edges than this: it visits every
+# acyclic edge subset, and a tree with this many edges already has 2^24.
 BRUTE_FORCE_CAP = 24
-BRUTE_FORCE_CEILING = 64
 
 
 class MemoCache:
@@ -222,16 +220,14 @@ def _trees(g):
     return pivots[-1]
 
 
-def count_forests_bruteforce(g, cap=BRUTE_FORCE_CAP):
+def count_forests_bruteforce(g):
     """Count acyclic edge subsets directly; parallel copies distinguishable.
 
     A subset containing two copies of a parallel bundle is cyclic, so it
-    is never counted.  Raises TooLarge above the edge cap, and above
-    BRUTE_FORCE_CEILING edges whatever the cap.
+    is never counted.  Raises TooLarge above BRUTE_FORCE_CAP edges.
     """
-    cap = min(cap, BRUTE_FORCE_CEILING)
-    if g.m > cap:
-        raise TooLarge(f"{g.m} edges exceeds the brute-force cap {cap}")
+    if g.m > BRUTE_FORCE_CAP:
+        raise TooLarge(f"{g.m} edges exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     edges = g.edge_list()
     parent = list(range(g.n))
     size = [1] * g.n
@@ -262,10 +258,7 @@ def count_forests_bruteforce(g, cap=BRUTE_FORCE_CAP):
 
 def count_forests_separating(g, vset):
     """Forests in which all of vset's vertices lie in distinct components."""
-    vs = sorted(set(vset))
-    if not vs:
-        raise VertexOutOfRange("need at least one vertex to separate")
-    return count_forests(contract_set(g, vs))
+    return count_forests(contract_set(g, vset))
 
 
 def extension_count(g, partition):

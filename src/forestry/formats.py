@@ -133,9 +133,9 @@ def format_graph6(g):
     else:
         raise ValueError(f"{n} vertices is past the graph6 writer's range")
     bits = []
-    for v in range(1, n):
+    for v, row in enumerate(g._adj):
         for u in range(v):
-            bits.append(1 if g.multiplicity(u, v) else 0)
+            bits.append(1 if u in row else 0)
     while len(bits) % 6:
         bits.append(0)
     for i in range(0, len(bits), 6):

@@ -149,12 +149,12 @@ def graphs_with_degrees(seq):
     return list(found.values())
 
 
-def lift_constant(m, kind="forests", cap=DEFAULT_CONSTANT_CAP, cache=None):
+def lift_constant(m, kind="forests", cache=None):
     """The exact minimum shrink factor over all complete lifts of order m."""
     if kind not in ("forests", "trees"):
         raise ValueError(f"kind must be 'forests' or 'trees', got {kind!r}")
-    if not 1 <= m <= cap:
-        raise CapExceeded(f"m = {m} is outside 1..{cap}")
+    if not 1 <= m <= DEFAULT_CONSTANT_CAP:
+        raise CapExceeded(f"m = {m} is outside 1..{DEFAULT_CONSTANT_CAP}")
     best = None
     best_fields = None
     for seq in _partitions(2 * m):

@@ -230,8 +230,8 @@ def is_connected(g):
 def degree_counts(g):
     """Map degree -> number of vertices of that degree."""
     out = {}
-    for v in range(g.n):
-        d = g.degree(v)
+    for row in g._adj:
+        d = sum(row.values())
         out[d] = out.get(d, 0) + 1
     return out
 

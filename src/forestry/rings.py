@@ -60,10 +60,10 @@ class RadicalBound:
         return self.outer * self.inner ** (1 / self.index)
 
 
-def upper_bound_fd(d, cap=DEFAULT_FD_CAP):
+def upper_bound_fd(d):
     """The ring-family ceiling [2 * F(K_{d+1} - e)]^(1/(d+1)) for d-regular graphs."""
-    if not 3 <= d <= cap:
-        raise CapExceeded(f"d = {d} is outside 3..{cap}")
+    if not 3 <= d <= DEFAULT_FD_CAP:
+        raise CapExceeded(f"d = {d} is outside 3..{DEFAULT_FD_CAP}")
     n = d + 1
     seed = from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     radicand = 2 * count_forests(delete_edge(seed, 0, 1))
@@ -95,7 +95,7 @@ class FamilySeries:
     limit: float
 
 
-def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP):
+def ring_family(g, u, v, m_list):
     """Chain m copies of g, broken at uv, into a ring; count exactly.
 
     Copy i keeps every edge except one copy of uv, and the ring edges
@@ -120,7 +120,7 @@ def ring_family(g, u, v, m_list, direct_cap=DEFAULT_DIRECT_CAP):
         forests = 2**m * a_value**m - b_value**m
         root = math.exp(math.log(forests) / (m * r))
         direct = None
-        if m <= direct_cap:
+        if m <= DEFAULT_DIRECT_CAP:
             direct = count_forests(_ring_graph(g, u, v, m))
         rows.append(FamilyRow(m, forests, root, direct))
     limit = math.exp(math.log(2 * a_value) / r)

@@ -166,7 +166,6 @@ def test_upper_bound_fd_range():
         upper_bound_fd(2)
     with pytest.raises(CapExceeded):
         upper_bound_fd(7)
-    assert upper_bound_fd(7, cap=7).index == 8
 
 
 # -- the ring family -------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from forestry import canonical_key, enumerate_family, format_graph6
 from forestry.cli import main
+from forestry.counting import BRUTE_FORCE_CAP
 from forestry.formats import parse_graph
 from forestry.named import catalog_entry
 from forestry.sweep import THEOREMS
@@ -80,16 +81,18 @@ def test_count_cross_check(cli):
     assert "--brute-cap" in err
 
 
-def test_a_brute_cap_above_the_ceiling_is_a_usage_error():
-    # the brute-force search recurses once per edge, so a cap above the
-    # ceiling is refused before a 1600-cycle could pass the recursion limit
+def test_a_cross_check_past_the_brute_force_cap_is_a_usage_error(cli):
+    # the brute-force search recurses once per edge, so it refuses a
+    # 1600-cycle before the recursion limit could be reached
     cycle = "1600 1600\n" + "".join(f"{i} {(i + 1) % 1600}\n" for i in range(1600))
-    argv = ["count", "--cross-check", "--brute-cap", "5000"]
+    argv = ["count", "--cross-check"]
     proc = subprocess.run(
         [sys.executable, "-m", "forestry.cli", *argv], input=cycle, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: --brute-cap must be at most 64, got 5000\n"
+    assert proc.stderr == "error: 1600 edges exceeds the brute-force cap 24\n"
+    # the parser, which no longer loads the counting layer, names the same limit
+    assert f"beyond {BRUTE_FORCE_CAP} edges" in " ".join(cli("count", "--help")[1].split())
 
 
 def test_trees_k5(cli):
@@ -190,6 +193,24 @@ def test_verify_rejects_nonpositive_max_n(cli):
     rc, _, err = cli("verify", "--theorem", "1", "--max-n", "0")
     assert rc == 2
     assert "--max-n" in err
+
+
+def test_verify_sweeps_to_the_family_cap_without_max_n(cli):
+    rc, out, _ = cli("verify", "--theorem", "1", "--family-cap", "5")
+    assert rc == 0
+    assert out.splitlines()[0] == "theorem 1  family 23  max n 5"
+
+
+def test_verify_hands_the_family_cap_to_the_sweep_as_its_order(cli, monkeypatch):
+    seen = []
+
+    def stop(theorem, n_max, **kwargs):
+        seen.append(n_max)
+        raise ValueError("sweep not run")
+
+    monkeypatch.setattr("forestry.sweep.sweep_theorem", stop)
+    assert cli("verify", "--theorem", "2", "--family-cap", "10")[0] == 2
+    assert seen == [10]
 
 
 def test_family_lists_graph6(cli):

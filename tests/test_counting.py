@@ -171,21 +171,14 @@ def test_subset_oracles_agree_with_each_other():
 def test_bruteforce_cap():
     with pytest.raises(TooLarge):
         count_forests_bruteforce(complete_graph(8))
-    with pytest.raises(TooLarge):
-        count_forests_bruteforce(complete_graph(6), cap=10)
+    # the search recurses once per edge and visits every acyclic subset,
+    # so the cap bounds both its depth and its time
+    for g in (cycle_graph(25), cycle_graph(1600)):
+        with pytest.raises(TooLarge, match="cap 24$"):
+            count_forests_bruteforce(g)
     assert count_forests_bruteforce(complete_graph(6)) == count_forests(
         complete_graph(6)
     )
-
-
-def test_bruteforce_ceiling_holds_whatever_the_cap():
-    # the search recurses once per edge, so the ceiling, not a caller's
-    # cap, bounds its depth: a 1600-cycle would pass the recursion limit
-    ceiling = counting.BRUTE_FORCE_CEILING
-    for g in (cycle_graph(1600), cycle_graph(ceiling + 1)):
-        with pytest.raises(TooLarge, match=f"cap {ceiling}$"):
-            count_forests_bruteforce(g, cap=5000)
-    assert count_forests_bruteforce(cycle_graph(8), cap=5000) == count_forests(cycle_graph(8))
 
 
 # -- deletion-contraction identities -----------------------------------

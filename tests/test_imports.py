@@ -6,6 +6,7 @@ loaded every module.  Only ``forestry.*`` modules are inspected: a site
 """
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -64,14 +65,44 @@ def _names_used(path):
     return used
 
 
-def test_every_export_has_a_caller():
+def _caller_files():
     # a caller is another module of the package, the benchmark or the
-    # acceptance file; a name only its own unit tests call is not exported
+    # acceptance file; what only its own unit tests use is not kept
     files = [p for p in sorted((ROOT / "src" / "forestry").glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*map(_names_used, files))
+    return files + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def test_every_export_has_a_caller():
+    used = set().union(*map(_names_used, _caller_files()))
     unused = sorted(set(forestry.__all__) - used)
     assert not unused, f"exported, but nothing calls: {unused}"
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default that no caller overrides is a constant, not a setting
+    defaulted = {}
+    for path in sorted((ROOT / "src" / "forestry").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                params = [p.arg for p in a.posonlyargs + a.args]
+                # each defaulted parameter with the position that passes it
+                for i in range(len(params) - len(a.defaults), len(params)):
+                    defaulted[(node.name, params[i])] = i
+                for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        defaulted[(node.name, p.arg)] = math.inf
+    passed = set()
+    for path in _caller_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "id", getattr(node.func, "attr", None))
+                given = {k.arg for k in node.keywords}
+                for (fname, name), pos in defaulted.items():
+                    if fname == func and (name in given or pos < len(node.args)):
+                        passed.add((fname, name))
+    unset = sorted(f"{f}({p}=)" for f, p in set(defaulted) - passed)
+    assert not unset, f"defaulted, but no caller sets: {unset}"
 
 
 def test_an_unknown_name_is_refused_without_loading_anything():
@@ -136,6 +167,13 @@ def test_a_catalog_command_loads_the_bounds_but_not_the_rings(argv, first):
     assert {"forestry.named", "forestry.bounds"} <= loaded
     unused = ("rings", "lifts", "families", "sweep")
     assert loaded.isdisjoint(f"forestry.{name}" for name in unused)
+
+
+def test_a_family_command_loads_neither_the_counting_layer_nor_the_catalog():
+    out, loaded = _cli_imports("family", "--degrees", "23", "--n", "4")
+    assert len(out.splitlines()) == 3
+    assert "forestry.families" in loaded
+    assert loaded.isdisjoint({"forestry.counting", "forestry.named"})
 
 
 def test_a_ratio_command_loads_the_rings():

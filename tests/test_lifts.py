@@ -311,7 +311,7 @@ def test_constant_guards():
         lift_constant(0)
     with pytest.raises(CapExceeded):
         lift_constant(6)
-    assert lift_constant(5, cap=7).value == Fraction(40, 7)
+    assert lift_constant(5).value == Fraction(40, 7)
     with pytest.raises(ValueError):
         lift_constant(2, kind="bushes")
 
