@@ -15,9 +15,9 @@ import argparse
 import signal
 import sys
 
-from .errors import CatalogMismatch, ForestryError, ViolationFound
+from .errors import CatalogMismatch, ForestryError, InputError, ViolationFound
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # raised when a JSON field changes meaning
 
 
 def _check_args(ns):
@@ -26,42 +26,34 @@ def _check_args(ns):
     for flag, low in (("max_n", 3), ("family_cap", 3), ("n", 3)):
         if args.get(flag) is not None and args[flag] < low:
             name = "--" + flag.replace("_", "-")
-            raise ValueError(f"{name} must be at least {low}, got {args[flag]}")
+            raise InputError(f"{name} must be at least {low}, got {args[flag]}")
     if ns.subcommand == "constants" and ns.fd is not None:
         # --max-m and --kind choose lift constants, which --fd does not compute
         for flag in ("max_m", "kind"):
             if args[flag] is not None:
-                raise ValueError(f"--fd takes no --{flag.replace('_', '-')}")
+                raise InputError(f"--fd takes no --{flag.replace('_', '-')}")
     if args.get("max_m") is not None:
         from .lifts import DEFAULT_CONSTANT_CAP as cap
 
         if not 1 <= ns.max_m <= cap:
-            raise ValueError(f"--max-m must be in 1..{cap}, got {ns.max_m}")
-    if args.get("catalog") is not None:
-        if args["path"] is not None:
-            raise ValueError("give a file path or --catalog, not both")
-        _resolve_catalog(ns.catalog)
-
-
-def _resolve_catalog(name):
-    from .named import catalog_entry
-
-    try:
-        return catalog_entry(name)
-    except KeyError:
-        raise ValueError(
-            f"unknown catalog graph {name!r}; run the catalog subcommand for names"
-        ) from None
+            raise InputError(f"--max-m must be in 1..{cap}, got {ns.max_m}")
+    if args.get("catalog") is not None and args["path"] is not None:
+        raise InputError("give a file path or --catalog, not both")
 
 
 def _load_graph(ns):
     if ns.catalog is not None:
-        return _resolve_catalog(ns.catalog).graph
-    if ns.path is not None:
-        with open(ns.path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+        from .named import catalog_entry
+
+        return catalog_entry(ns.catalog).graph
+    try:
+        if ns.path is not None:
+            with open(ns.path, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
     from .formats import parse_graph
 
     return parse_graph(text)
@@ -74,33 +66,33 @@ def _emit_json(obj):
 
 
 def _cmd_count(ns):
-    """count and trees: text shows the one count, JSON both and the cache's hits."""
-    from .counting import MemoCache, count_forests, count_forests_bruteforce, count_trees
+    """count and trees: text shows the one count, JSON both."""
+    from .counting import count_forests, count_forests_bruteforce, count_trees
 
-    cache = MemoCache()
     g = _load_graph(ns)
-    value = (count_forests if ns.subcommand == "count" else count_trees)(g, cache)
+    json_mode = ns.output == "json"
+    forests = count_forests(g) if json_mode or ns.subcommand == "count" else None
+    trees = count_trees(g) if json_mode or ns.subcommand == "trees" else None
     if getattr(ns, "cross_check", False):
         brute = count_forests_bruteforce(g)
-        if brute != value:
+        if brute != forests:
             print(
-                f"error: engine counts {value} forests, brute force {brute}",
+                f"error: engine counts {forests} forests, brute force {brute}",
                 file=sys.stderr,
             )
             return 1
-    if ns.output == "json":
+    if json_mode:
         _emit_json(
             {
                 "v": SCHEMA_VERSION,
                 "n": g.n,
                 "m": g.m,
-                "forests": str(count_forests(g, cache)),
-                "trees": str(count_trees(g, cache)),
-                "cache_hits": cache.hits,
+                "forests": str(forests),
+                "trees": str(trees),
             }
         )
     else:
-        print(value)
+        print(forests if ns.subcommand == "count" else trees)
     return 0
 
 
@@ -393,9 +385,9 @@ def _cmd_ratio(ns):
 def _cmd_catalog(ns):
     from .counting import count_trees
     from .formats import format_edge_list
-    from .named import catalog
+    from .named import catalog, catalog_entry
 
-    entries = catalog() if ns.name is None else [_resolve_catalog(ns.name)]
+    entries = catalog() if ns.name is None else [catalog_entry(ns.name)]
     if ns.output == "json":
         out = []
         for e in entries:
@@ -637,7 +629,7 @@ def main(argv=None):
     except (ViolationFound, CatalogMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ForestryError, ValueError, OSError) as exc:
+    except (ForestryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

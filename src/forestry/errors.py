@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from ForestryError so the CLI can
-map failures to exit codes without enumerating modules.
+map failures to exit codes without enumerating modules.  A plain
+ValueError or KeyError from the package is a defect, not a refusal.
 """
 
 
 class ForestryError(Exception):
     pass
+
+
+class InputError(ForestryError, ValueError):
+    """Text or arguments a caller got wrong; also a ValueError, like JSONDecodeError."""
 
 
 class LoopRejected(ForestryError):
@@ -22,7 +27,7 @@ class EdgeAbsent(ForestryError):
 
 
 class TooLarge(ForestryError):
-    """Input exceeds the brute-force edge cap or the parsers' vertex limit."""
+    """Input exceeds the brute-force edge cap or a parser's or writer's size limit."""
 
 
 class InvalidPartition(ForestryError):

@@ -39,7 +39,7 @@ at the sweep's largest order: pruning never cuts a member's chain.
 
 from itertools import combinations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InputError
 from .multigraph import MultiGraph, _components, _derive, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
@@ -48,7 +48,7 @@ DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 def _family(degree_set):
     ds = frozenset(degree_set)
     if ds not in DEFAULT_FAMILY_CAPS:
-        raise ValueError("supported degree sets are {2,3} and {2,3,4}, not %r"
+        raise InputError("supported degree sets are {2,3} and {2,3,4}, not %r"
                          % sorted(set(degree_set)))
     return ds
 
@@ -116,9 +116,9 @@ def family_levels(degree_set, n_max, cap=None):
     if cap is None:
         cap = DEFAULT_FAMILY_CAPS[ds]
     if cap < 3:
-        raise ValueError("cap must be at least 3")
+        raise InputError("cap must be at least 3")
     if n_max < 3:
-        raise ValueError("the families start at 3 vertices")
+        raise InputError("the families start at 3 vertices")
     if n_max > cap:
         raise CapExceeded("order %d exceeds the cap of %d" % (n_max, cap))
     dmax = max(ds)

@@ -6,12 +6,12 @@ non-space character is '#' are comments, blank lines are skipped, and
 repeating a pair accumulates multiplicity.  graph6 (the usual 6-bit
 upper-triangle encoding) is accepted for simple graphs.
 
-Parse problems raise ValueError; structural problems (loops, bad
-vertex ids) surface as the graph errors from from_edge_list.  A vertex
-count above MAX_VERTICES raises TooLarge before any graph is built.
+Parse problems raise InputError (a ValueError); structural problems
+(loops, bad vertex ids) surface as the graph errors from from_edge_list.
+A vertex count above MAX_VERTICES raises TooLarge before any graph is built.
 """
 
-from .errors import NotSimple, TooLarge
+from .errors import InputError, NotSimple, TooLarge
 from .multigraph import from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -36,29 +36,29 @@ def _meaningful_lines(text):
 def parse_edge_list(text):
     lines = list(_meaningful_lines(text))
     if not lines:
-        raise ValueError("empty input, expected an 'n m' header line")
+        raise InputError("empty input, expected an 'n m' header line")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
+        raise InputError(f"header must be 'n m', got {lines[0]!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError(f"header must be two integers, got {lines[0]!r}") from None
+        raise InputError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
-        raise ValueError(f"header counts must be nonnegative, got {lines[0]!r}")
+        raise InputError(f"header counts must be nonnegative, got {lines[0]!r}")
     _check_order(n)
     body = lines[1:]
     if len(body) != m:
-        raise ValueError(f"header announces {m} edges, found {len(body)} edge lines")
+        raise InputError(f"header announces {m} edges, found {len(body)} edge lines")
     pairs = []
     for line in body:
         toks = line.split()
         if len(toks) != 2:
-            raise ValueError(f"edge line must be 'u v', got {line!r}")
+            raise InputError(f"edge line must be 'u v', got {line!r}")
         try:
             pairs.append((int(toks[0]), int(toks[1])))
         except ValueError:
-            raise ValueError(f"edge line must be two integers, got {line!r}") from None
+            raise InputError(f"edge line must be two integers, got {line!r}") from None
     return from_edge_list(n, pairs)
 
 
@@ -74,7 +74,7 @@ def _g6_bytes(s):
     for ch in s:
         o = ord(ch) - 63
         if not 0 <= o <= 63:
-            raise ValueError(f"invalid graph6 character {ch!r}")
+            raise InputError(f"invalid graph6 character {ch!r}")
         vals.append(o)
     return vals
 
@@ -84,12 +84,12 @@ def parse_graph6(text):
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER) :]
     if not s:
-        raise ValueError("empty graph6 string")
+        raise InputError("empty graph6 string")
     vals = _g6_bytes(s)
     # the order takes one character, or 63 and three more, or 63 63 and six more
     head = 1 if vals[0] != 63 else 4 if vals[1:2] != [63] else 8
     if len(vals) < head:
-        raise ValueError("truncated graph6 vertex count")
+        raise InputError("truncated graph6 vertex count")
     n = 0
     for v in vals[head // 4 : head]:
         n = n << 6 | v
@@ -97,7 +97,7 @@ def parse_graph6(text):
     rest = vals[head:]
     nbits = n * (n - 1) // 2
     if len(rest) != (nbits + 5) // 6:
-        raise ValueError(
+        raise InputError(
             f"graph6 body for {n} vertices needs {(nbits + 5) // 6} "
             f"characters, got {len(rest)}"
         )
@@ -113,7 +113,7 @@ def parse_graph6(text):
                 pairs.append((u, v))
             i += 1
     if any(bits[nbits:]):
-        raise ValueError("graph6 padding bits must be zero")
+        raise InputError("graph6 padding bits must be zero")
     return from_edge_list(n, pairs)
 
 
@@ -131,7 +131,7 @@ def format_graph6(g):
         out.append((n >> 6 & 63) + 63)
         out.append((n & 63) + 63)
     else:
-        raise ValueError(f"{n} vertices is past the graph6 writer's range")
+        raise TooLarge(f"{n} vertices is past the graph6 writer's range")
     bits = []
     for v, row in enumerate(g._adj):
         for u in range(v):
@@ -153,4 +153,4 @@ def parse_graph(text):
         if line[0].isdigit() and len(toks) == 2:
             return parse_edge_list(text)
         return parse_graph6(line)
-    raise ValueError("no graph data in input")
+    raise InputError("no graph data in input")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import prod
 
 from .counting import count_forests, count_trees
-from .errors import CapExceeded, OddDegree
+from .errors import CapExceeded, InputError, OddDegree
 from .multigraph import (
     MultiGraph,
     _components,
@@ -152,7 +152,7 @@ def graphs_with_degrees(seq):
 def lift_constant(m, kind="forests", cache=None):
     """The exact minimum shrink factor over all complete lifts of order m."""
     if kind not in ("forests", "trees"):
-        raise ValueError(f"kind must be 'forests' or 'trees', got {kind!r}")
+        raise InputError(f"kind must be 'forests' or 'trees', got {kind!r}")
     if not 1 <= m <= DEFAULT_CONSTANT_CAP:
         raise CapExceeded(f"m = {m} is outside 1..{DEFAULT_CONSTANT_CAP}")
     best = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bounds import LESS, compare, degree_profile, q_bound
 from .counting import count_forests
-from .errors import CatalogMismatch
+from .errors import CatalogMismatch, InputError
 from .multigraph import MultiGraph, from_edge_list
 
 
@@ -376,7 +376,9 @@ def catalog_entry(name):
     if name not in _CHECKED:
         row = next((row for row in _RAW if row[0] == name), None)
         if row is None:
-            raise KeyError("no catalog graph named %r" % name)
+            raise InputError(
+                f"unknown catalog graph {name!r}; run the catalog subcommand for names"
+            )
         _, summary, n, edges, forests, holds = row
         entry = CatalogEntry(name, summary, from_edge_list(n, edges), forests, holds)
         _check(entry)

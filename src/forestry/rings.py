@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import count_forests, extension_count
-from .errors import AttachmentMismatch, BridgeEdge, CapExceeded, Disconnected
+from .errors import AttachmentMismatch, BridgeEdge, CapExceeded, Disconnected, InputError
 from .multigraph import (
     MultiGraph,
     contract_edge,
@@ -116,7 +116,7 @@ def ring_family(g, u, v, m_list):
     rows = []
     for m in sorted(set(m_list)):
         if m < 1:
-            raise ValueError(f"ring size m = {m} must be positive")
+            raise InputError(f"ring size m = {m} must be positive")
         forests = 2**m * a_value**m - b_value**m
         root = math.exp(math.log(forests) / (m * r))
         direct = None

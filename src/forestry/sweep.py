@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bounds import EQUAL, LESS, compare, p_bound, q_bound
 from .counting import count_forests
-from .errors import CorruptRecord, IoError, ViolationFound
+from .errors import CorruptRecord, InputError, IoError, ViolationFound
 from .families import family_levels
 from .multigraph import canonical_key
 from .named import catalog_entry
@@ -140,7 +140,8 @@ def run_store_resume(store, family=None):
     """
     done = {}
     try:
-        fh = open(store, "r", encoding="utf-8")
+        # an undecodable byte spoils only its own line, which then fails to parse
+        fh = open(store, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return done
     except OSError as exc:
@@ -166,9 +167,9 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
     graphs are not exactly the known exceptional ones in range.
     """
     if theorem not in THEOREMS:
-        raise ValueError("theorem must be one of %s" % sorted(THEOREMS))
+        raise InputError("theorem must be one of %s" % sorted(THEOREMS))
     if resume and not store:
-        raise ValueError("resume needs a store to resume from")
+        raise InputError("resume needs a store to resume from")
     degree_set, family, bound_fn, exceptional = THEOREMS[theorem]
     expected = {
         canonical_key(catalog_entry(name).graph): (order, name)

@@ -158,6 +158,27 @@ def test_upper_bound_fd_quartic():
     assert math.isclose(rb.value(), 2 ** 0.4 * 99 ** 0.2)
 
 
+@pytest.mark.parametrize(
+    "bound, d, orders",
+    [
+        (p_bound, 3, [(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+                      (6, [(i, 3 + j) for i in range(3) for j in range(3)])]),
+        (q_bound, 4, [(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+                      (6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3])]),
+    ],
+)
+def test_the_lower_bound_grows_per_vertex_as_the_ring_ceiling(bound, d, orders):
+    # K4 and K33, K5 and the octahedron: the bound's growth over the added
+    # vertices, raised to integer powers, is the d-regular ceiling exactly
+    (n1, e1), (n2, e2) = orders
+    b1, b2 = bound(from_edge_list(n1, e1)), bound(from_edge_list(n2, e2))
+    assert b1.s == b2.s
+    growth = 2 ** (b2.a - b1.a) * 3 ** (b2.b - b1.b) * 198 ** (b2.c - b1.c)
+    rb = upper_bound_fd(d)
+    assert (rb.radicand, rb.index) == ({3: 2**4 * 3, 4: 2 * 198}[d], d + 1)
+    assert growth**rb.index == rb.radicand ** (b1.s * (n2 - n1))
+
+
 def test_upper_bound_fd_range():
     rb = upper_bound_fd(5)
     k6_less_e = delete_edge(complete_graph(6), 0, 1)

@@ -16,7 +16,7 @@ from forestry import (
 )
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
 from forestry.cli import main
-from forestry.errors import CatalogMismatch
+from forestry.errors import CatalogMismatch, InputError
 from forestry.multigraph import degree_counts
 from forestry.named import _check
 
@@ -222,6 +222,16 @@ def test_catalog_checks_every_entry_once_in_table_order(fresh):
 
 
 def test_unknown_name_raises(fresh):
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         catalog_entry("K7")
     assert fresh == []
+
+
+def test_an_unknown_name_is_refused_with_the_message_the_cli_prints(capsys):
+    message = "unknown catalog graph 'nope'; run the catalog subcommand for names"
+    with pytest.raises(InputError) as info:
+        catalog_entry("nope")
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
+    assert main(["count", "--catalog", "nope"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -8,6 +8,7 @@ import pytest
 from forestry import canonical_key, enumerate_family, format_graph6
 from forestry.cli import main
 from forestry.counting import BRUTE_FORCE_CAP
+from forestry.errors import ForestryError
 from forestry.formats import parse_graph
 from forestry.named import catalog_entry
 from forestry.sweep import THEOREMS
@@ -50,9 +51,8 @@ def test_count_json_fields(cli):
         "m": 6,
         "forests": "38",
         "trees": "16",
-        "cache_hits": 1,
     }
-    # both commands count both numbers in JSON, the second from the cache
+    # both commands count both numbers in JSON, each once
     assert cli("trees", "--catalog", "K4", "--output", "json") == (0, out, "")
 
 
@@ -206,7 +206,7 @@ def test_verify_hands_the_family_cap_to_the_sweep_as_its_order(cli, monkeypatch)
 
     def stop(theorem, n_max, **kwargs):
         seen.append(n_max)
-        raise ValueError("sweep not run")
+        raise ForestryError("sweep not run")
 
     monkeypatch.setattr("forestry.sweep.sweep_theorem", stop)
     assert cli("verify", "--theorem", "2", "--family-cap", "10")[0] == 2
@@ -425,6 +425,26 @@ def test_input_conflicts(cli, tmp_path):
     assert "not both" in err
     assert cli("count", str(tmp_path / "missing.txt"))[0] == 2
     assert cli("count", stdin="definitely not a graph\n")[0] == 2
+
+
+def test_an_undecodable_input_file_is_an_input_error(cli, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\xff 0\n")
+    rc, out, err = cli("count", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+def test_a_plain_value_error_is_a_defect_not_bad_input(cli, monkeypatch):
+    def broken(g):
+        raise ValueError("a defect")
+
+    # a traceback, not exit 2: the user's input was fine
+    monkeypatch.setattr("forestry.counting.count_forests", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli("count", stdin="3 3\n0 1\n1 2\n0 2\n")
 
 
 def test_usage_errors(cli):

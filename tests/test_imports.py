@@ -105,6 +105,38 @@ def test_every_defaulted_parameter_has_a_caller():
     assert not unset, f"defaulted, but no caller sets: {unset}"
 
 
+# (module, function) of the two raises that report a defect, not bad input
+DEFECT_SITES = [("counting.py", "insert"), ("rings.py", "ring_family")]
+
+
+def _stdlib_raises(path):
+    """(file, enclosing function) of each `raise ValueError` or `raise KeyError`."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = getattr(child.exc, "func", child.exc)
+                if getattr(exc, "id", None) in ("ValueError", "KeyError"):
+                    found.append((path.name, where))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_refusal_is_a_forestry_error():
+    # the CLI maps only ForestryError to exit 2, so a stdlib error raised on
+    # purpose would print a traceback; only the defect reports may do that
+    files = sorted((ROOT / "src" / "forestry").glob("*.py"))
+    assert sorted(site for path in files for site in _stdlib_raises(path)) == DEFECT_SITES
+    cli_names = _names_used(ROOT / "src" / "forestry" / "cli.py")
+    assert cli_names.isdisjoint({"ValueError", "KeyError", "_resolve_catalog"})
+
+
 def test_an_unknown_name_is_refused_without_loading_anything():
     code = "import forestry\nassert not hasattr(forestry, 'no_such_name')"
     assert _loaded(code) == {"forestry"}

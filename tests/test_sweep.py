@@ -161,6 +161,18 @@ def test_corrupt_lines_are_skipped_with_a_warning(tmp_path, caplog):
     assert "line 6" in caplog.text
 
 
+def test_an_undecodable_line_is_skipped_with_a_warning(tmp_path, caplog):
+    store = tmp_path / "runs.jsonl"
+    sweep_theorem("T1", 4, store=store)
+    first, second = store.read_bytes().splitlines(keepends=True)[:2]
+    store.write_bytes(first + b"\xff\n" + second)
+    with caplog.at_level("WARNING", logger="forestry.sweep"):
+        summary = sweep_theorem("T1", 4, store=store, resume=True)
+    assert summary.skipped == 2
+    assert len(caplog.records) == 1
+    assert "line 2" in caplog.text
+
+
 def test_parse_record_rejects_damage():
     good = record_line(make_record())
     assert parse_record(good).forests == 38
