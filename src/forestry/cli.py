@@ -20,13 +20,22 @@ from .errors import CatalogMismatch, ForestryError, InputError, ViolationFound
 SCHEMA_VERSION = 1  # raised when a JSON field changes meaning
 
 
+def _degree_set(ns):
+    """The degree set that verify --theorem or family --degrees names."""
+    tag = ns.degrees if ns.subcommand == "family" else {"1": "23", "2": "234"}[ns.theorem]
+    return frozenset(map(int, tag))
+
+
 def _check_args(ns):
     """Refuse bad arguments before any real work."""
     args = vars(ns)
-    for flag, low in (("max_n", 3), ("family_cap", 3), ("n", 3)):
-        if args.get(flag) is not None and args[flag] < low:
-            name = "--" + flag.replace("_", "-")
-            raise InputError(f"{name} must be at least {low}, got {args[flag]}")
+    if ns.subcommand in ("verify", "family"):
+        from .families import DEFAULT_FAMILY_CAPS
+
+        flag, order = ("--max-n", ns.max_n) if ns.subcommand == "verify" else ("--n", ns.n)
+        limit = DEFAULT_FAMILY_CAPS[_degree_set(ns)]
+        if order is not None and not 3 <= order <= limit:
+            raise InputError(f"{flag} must be in 3..{limit}, got {order}")
     if ns.subcommand == "constants" and ns.fd is not None:
         # --max-m and --kind choose lift constants, which --fd does not compute
         for flag in ("max_m", "kind"):
@@ -51,7 +60,10 @@ def _load_graph(ns):
             with open(ns.path, encoding="utf-8") as fh:
                 text = fh.read()
         else:
-            text = sys.stdin.read()
+            # strict UTF-8 as for a file, whatever the locale; a stream
+            # without bytes underneath is already text
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(str(exc)) from None
     from .formats import parse_graph
@@ -151,14 +163,10 @@ def _outcome_text(pairs, names):
 
 def _cmd_verify(ns):
     from .families import DEFAULT_FAMILY_CAPS
-    from .sweep import THEOREMS, sweep_theorem
+    from .sweep import sweep_theorem
 
-    theorem = "T" + ns.theorem
-    degree_set = THEOREMS[theorem][0]
-    n_max = ns.max_n or ns.family_cap or DEFAULT_FAMILY_CAPS[frozenset(degree_set)]
-    summary = sweep_theorem(
-        theorem, n_max, store=ns.store, resume=ns.resume, cap=ns.family_cap
-    )
+    n_max = ns.max_n or DEFAULT_FAMILY_CAPS[_degree_set(ns)]
+    summary = sweep_theorem("T" + ns.theorem, n_max, store=ns.store, resume=ns.resume)
     names = _key_names()
     if ns.output == "json":
         _emit_json(
@@ -187,8 +195,7 @@ def _cmd_family(ns):
     from .families import enumerate_family
     from .formats import format_graph6
 
-    degree_set = {"23": (2, 3), "234": (2, 3, 4)}[ns.degrees]
-    members = enumerate_family(ns.n, degree_set, cap=ns.family_cap)
+    members = enumerate_family(ns.n, _degree_set(ns))
     lines = [format_graph6(g) for g in members]
     if ns.output == "json":
         _emit_json(
@@ -523,7 +530,8 @@ def build_parser():
         type=int,
         default=None,
         metavar="N",
-        help="largest order to sweep (default: the family cap)",
+        help="largest order to sweep, 3..12 for theorem 1 and 3..9 for"
+        " theorem 2 (default: the largest)",
     )
     p.add_argument(
         "--store",
@@ -535,13 +543,6 @@ def build_parser():
         "--resume",
         action="store_true",
         help="skip graphs already recorded in --store",
-    )
-    p.add_argument(
-        "--family-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="raise the family order cap (default: 12 for theorem 1, 9 for 2)",
     )
 
     p = sub.add_parser(
@@ -555,13 +556,11 @@ def build_parser():
         required=True,
         help="allowed vertex degrees",
     )
-    p.add_argument("--n", type=int, required=True, help="number of vertices")
     p.add_argument(
-        "--family-cap",
+        "--n",
         type=int,
-        default=None,
-        metavar="N",
-        help="raise the family order cap",
+        required=True,
+        help="number of vertices, 3..12 for degrees 23 and 3..9 for 234",
     )
 
     p = sub.add_parser(

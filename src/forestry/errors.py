@@ -43,7 +43,7 @@ class NotSimple(ForestryError):
 
 
 class CapExceeded(ForestryError):
-    """A configured enumeration cap was exceeded."""
+    """A size past a fixed enumeration limit was asked for."""
 
 
 class DegreeOutOfFamily(ForestryError):

@@ -35,6 +35,10 @@ vertices, and once it holds for remaining >= 1 it holds for every larger
 remaining.  Every graph on the canonical chain of a member of order k is
 an induced subgraph of it, so it passes at k minus its order, and hence
 at the sweep's largest order: pruning never cuts a member's chain.
+
+Order limit.  DEFAULT_FAMILY_CAPS fixes the largest order of each family,
+12 for {2, 3} and 9 for {2, 3, 4}, where the theorem sweeps are pinned;
+a larger order raises CapExceeded.
 """
 
 from itertools import combinations
@@ -106,21 +110,18 @@ def _ties(nbrs, degrees):
     return ties
 
 
-def family_levels(degree_set, n_max, cap=None):
+def family_levels(degree_set, n_max):
     """Yield (n, members) for n = 3..n_max in one bottom-up pass.
 
     Members are sorted by canonical key; each list holds exactly one
     representative per isomorphism class at that order.
     """
     ds = _family(degree_set)
-    if cap is None:
-        cap = DEFAULT_FAMILY_CAPS[ds]
-    if cap < 3:
-        raise InputError("cap must be at least 3")
+    limit = DEFAULT_FAMILY_CAPS[ds]
     if n_max < 3:
         raise InputError("the families start at 3 vertices")
-    if n_max > cap:
-        raise CapExceeded("order %d exceeds the cap of %d" % (n_max, cap))
+    if n_max > limit:
+        raise CapExceeded("order %d exceeds the cap of %d" % (n_max, limit))
     dmax = max(ds)
     # (graph, neighbour lists, degrees, automorphism generators)
     parents = [(MultiGraph(1), [()], [0], [])]
@@ -163,8 +164,8 @@ def family_levels(degree_set, n_max, cap=None):
             yield n, [child for _, child in members]
 
 
-def enumerate_family(n, degree_set, cap=None):
+def enumerate_family(n, degree_set):
     """Stream one graph per isomorphism class of order n, sorted by key."""
-    for order, members in family_levels(degree_set, n, cap=cap):
+    for order, members in family_levels(degree_set, n):
         if order == n:
             yield from members

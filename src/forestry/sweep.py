@@ -102,7 +102,7 @@ def parse_record(line):
         ts = raw["ts"]
     except KeyError as exc:
         raise CorruptRecord("missing field: %s" % exc)
-    if family not in ("23", "234"):
+    if family not in {spec[1] for spec in THEOREMS.values()}:
         raise CorruptRecord("unknown family %r" % family)
     if verdict not in _VERDICTS:
         raise CorruptRecord("unknown verdict %r" % verdict)
@@ -160,7 +160,7 @@ def run_store_resume(store, family=None):
     return done
 
 
-def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None):
+def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     """Check the bound on every family graph of order 3..n_max.
 
     Returns a SweepSummary; raises ViolationFound when the violating
@@ -181,7 +181,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None, cap=None
     equalities = []
     outcome = {}
     started = time.perf_counter()
-    for n, members in family_levels(degree_set, n_max, cap=cap):
+    for n, members in family_levels(degree_set, n_max):
         log.info("%s n=%d: %d members generated in %.3f s",
                  theorem, n, len(members), time.perf_counter() - started)
         for g in members:

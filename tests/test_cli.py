@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -9,9 +10,10 @@ from forestry import canonical_key, enumerate_family, format_graph6
 from forestry.cli import main
 from forestry.counting import BRUTE_FORCE_CAP
 from forestry.errors import ForestryError
+from forestry.families import DEFAULT_FAMILY_CAPS
 from forestry.formats import parse_graph
 from forestry.named import catalog_entry
-from forestry.sweep import THEOREMS
+from forestry.sweep import THEOREMS, SweepSummary
 
 
 @pytest.fixture
@@ -72,13 +74,6 @@ def test_count_cross_check(cli):
     rc, out, _ = cli("count", "--catalog", "K4", "--cross-check")
     assert rc == 0
     assert out == "38\n"
-    # K4 has six edges, so a cap of three refuses the brute-force pass
-    rc, _, err = cli("count", "--catalog", "K4", "--cross-check", "--brute-cap", "3")
-    assert rc == 2
-    assert "error" in err
-    rc, _, err = cli("count", "--catalog", "K4", "--brute-cap", "0")
-    assert rc == 2
-    assert "--brute-cap" in err
 
 
 def test_a_cross_check_past_the_brute_force_cap_is_a_usage_error(cli):
@@ -195,22 +190,49 @@ def test_verify_rejects_nonpositive_max_n(cli):
     assert "--max-n" in err
 
 
-def test_verify_sweeps_to_the_family_cap_without_max_n(cli):
-    rc, out, _ = cli("verify", "--theorem", "1", "--family-cap", "5")
+def test_verify_sweeps_to_the_family_cap_without_max_n(cli, monkeypatch):
+    def empty(theorem, n_max, **kwargs):
+        return SweepSummary(theorem, "23", n_max, 0, 0, (), ())
+
+    monkeypatch.setattr("forestry.sweep.sweep_theorem", empty)
+    rc, out, _ = cli("verify", "--theorem", "1")
     assert rc == 0
-    assert out.splitlines()[0] == "theorem 1  family 23  max n 5"
+    assert out.splitlines()[0] == "theorem 1  family 23  max n 12"
 
 
 def test_verify_hands_the_family_cap_to_the_sweep_as_its_order(cli, monkeypatch):
     seen = []
 
     def stop(theorem, n_max, **kwargs):
-        seen.append(n_max)
+        seen.append((theorem, n_max))
         raise ForestryError("sweep not run")
 
     monkeypatch.setattr("forestry.sweep.sweep_theorem", stop)
-    assert cli("verify", "--theorem", "2", "--family-cap", "10")[0] == 2
-    assert seen == [10]
+    assert cli("verify", "--theorem", "1")[0] == 2
+    assert cli("verify", "--theorem", "2")[0] == 2
+    assert seen == [("T1", 12), ("T2", 9)]
+
+
+def test_the_order_help_names_the_family_limits(cli):
+    # the parser does not load the families layer, so its help repeats the limits
+    t1, t2 = DEFAULT_FAMILY_CAPS[frozenset((2, 3))], DEFAULT_FAMILY_CAPS[frozenset((2, 3, 4))]
+    verify_help = " ".join(cli("verify", "--help")[1].split())
+    assert f"3..{t1} for theorem 1 and 3..{t2} for theorem 2" in verify_help
+    family_help = " ".join(cli("family", "--help")[1].split())
+    assert f"3..{t1} for degrees 23 and 3..{t2} for 234" in family_help
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--theorem", "1", "--family-cap", "5"),
+        ("family", "--degrees", "23", "--n", "4", "--family-cap", "12"),
+    ],
+)
+def test_the_family_cap_flag_is_gone(cli, argv):
+    rc, out, err = cli(*argv)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --family-cap" in err
 
 
 def test_family_lists_graph6(cli):
@@ -306,9 +328,9 @@ def test_max_m_above_the_cap_is_refused_before_any_work(cli, monkeypatch):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("family", "--degrees", "23", "--n", "4", "--family-cap", "0"), "--family-cap"),
-        (("family", "--degrees", "234", "--n", "4", "--family-cap", "2"), "--family-cap"),
-        (("verify", "--theorem", "1", "--max-n", "5", "--family-cap", "2"), "--family-cap"),
+        (("verify", "--theorem", "1", "--max-n", "13"), "--max-n"),
+        (("verify", "--theorem", "2", "--max-n", "10"), "--max-n"),
+        (("family", "--degrees", "234", "--n", "10"), "--n"),
         (("verify", "--theorem", "2", "--max-n", "2"), "--max-n"),
         (("family", "--degrees", "23", "--n", "2"), "--n"),
         (("family", "--degrees", "234", "--n", "-1"), "--n"),
@@ -322,7 +344,8 @@ def test_family_range_errors_name_the_flag(cli, monkeypatch, argv, flag):
     monkeypatch.setattr("forestry.sweep.sweep_theorem", never)
     rc, out, err = cli(*argv)
     assert (rc, out) == (2, "")
-    assert f"error: {flag} must be at least 3" in err
+    limit = {"1": 12, "23": 12, "2": 9, "234": 9}[argv[2]]
+    assert f"error: {flag} must be in 3..{limit}, got {argv[-1]}\n" == err
 
 
 def test_ratio_double_star_json(cli):
@@ -435,6 +458,21 @@ def test_an_undecodable_input_file_is_an_input_error(cli, tmp_path):
     assert err == (
         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
     )
+
+
+def test_an_undecodable_byte_reads_the_same_from_stdin_and_a_file(tmp_path):
+    # under the C locale Python reads stdin with surrogateescape, so the
+    # byte would reach the graph6 parser as '\udcff' if stdin were read as text
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\xff 0\n")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env["LC_ALL"] = "C"
+    argv = [sys.executable, "-m", "forestry.cli", "count"]
+    piped = subprocess.run(argv, input=b"\xff 0\n", capture_output=True, env=env, timeout=120)
+    read = subprocess.run(argv + [str(path)], capture_output=True, env=env, timeout=120)
+    assert (piped.returncode, piped.stdout) == (read.returncode, read.stdout) == (2, b"")
+    assert piped.stderr == read.stderr
+    assert piped.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_a_plain_value_error_is_a_defect_not_bad_input(cli, monkeypatch):

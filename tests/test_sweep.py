@@ -8,6 +8,7 @@ import pytest
 from forestry import canonical_key, catalog_entry
 from forestry.errors import CorruptRecord, IoError, ViolationFound
 from forestry.sweep import (
+    THEOREMS,
     SweepRecord,
     parse_record,
     record_line,
@@ -209,6 +210,16 @@ def test_parse_record_accepts_only_what_record_line_writes(field, damaged):
     assert field in good
     with pytest.raises(CorruptRecord):
         parse_record(good.replace(field, damaged))
+
+
+def test_parse_record_takes_the_family_tags_from_the_theorems(monkeypatch):
+    for tag in ("23", "234"):
+        assert parse_record(record_line(make_record(family=tag))).family == tag
+    tagged = record_line(make_record(family="2345"))
+    with pytest.raises(CorruptRecord, match="unknown family '2345'"):
+        parse_record(tagged)
+    monkeypatch.setitem(THEOREMS, "T3", ((2, 3, 4, 5), "2345", None, ()))
+    assert parse_record(tagged).family == "2345"
 
 
 def test_append_to_unwritable_location_raises():
