@@ -11,7 +11,7 @@ ceiling and the gadget ratios live in rings.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeOutOfFamily, Disconnected
 from .multigraph import degree_counts, is_connected
@@ -21,8 +21,7 @@ EQUAL = "EQ"
 GREATER = "GE"
 
 
-@dataclass(frozen=True)
-class BoundExpr:
+class BoundExpr(NamedTuple):
     """2^(a/s) * 3^(b/s) * 198^(c/s) kept exact."""
 
     a: int

@@ -147,10 +147,14 @@ def format_graph6(g):
 
 
 def parse_graph(text):
-    """Auto-detect: an 'n m' header line means edge list, else graph6."""
-    for line in _meaningful_lines(text):
-        toks = line.split()
-        if line[0].isdigit() and len(toks) == 2:
-            return parse_edge_list(text)
-        return parse_graph6(line)
-    raise InputError("no graph data in input")
+    """Auto-detect: an 'n m' header line means edge list, else one graph6 line."""
+    lines = _meaningful_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise InputError("no graph data in input")
+    if first[0].isdigit() and len(first.split()) == 2:
+        return parse_edge_list(text)
+    extra = sum(1 for _ in lines)
+    if extra:
+        raise InputError(f"graph6 input is one line, found {1 + extra} lines")
+    return parse_graph6(first)

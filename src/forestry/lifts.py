@@ -14,9 +14,9 @@ a complete lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .counting import count_forests, count_trees
 from .errors import CapExceeded, InputError, OddDegree
@@ -32,16 +32,14 @@ from .multigraph import (
 DEFAULT_CONSTANT_CAP = 5
 
 
-@dataclass(frozen=True)
-class LiftPlan:
+class LiftPlan(NamedTuple):
     """A complete-lift recipe: the center and the pairing of its edge ends."""
 
     center: int
     pairs: tuple
 
 
-@dataclass(frozen=True)
-class LiftConstant:
+class LiftConstant(NamedTuple):
     m: int
     kind: str
     value: Fraction

@@ -8,7 +8,7 @@ with the stored count or verdict raises CatalogMismatch instead of
 letting a bad transcription leak into downstream checks.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import LESS, compare, degree_profile, q_bound
 from .counting import count_forests
@@ -16,8 +16,7 @@ from .errors import CatalogMismatch, InputError
 from .multigraph import MultiGraph, from_edge_list
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     summary: str
     graph: MultiGraph

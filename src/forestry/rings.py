@@ -13,8 +13,8 @@ gadget for the other can shrink the forest count of any host.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counting import count_forests, extension_count
 from .errors import AttachmentMismatch, BridgeEdge, CapExceeded, Disconnected, InputError
@@ -46,8 +46,7 @@ def _factorize(x):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RadicalBound:
+class RadicalBound(NamedTuple):
     """radicand^(1/index), with the largest integer factor pulled out."""
 
     radicand: int
@@ -76,16 +75,14 @@ def upper_bound_fd(d):
     return RadicalBound(radicand, n, outer, inner, factors)
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     m: int
     forests: int
     root: float
     direct: object
 
 
-@dataclass(frozen=True)
-class FamilySeries:
+class FamilySeries(NamedTuple):
     seed: MultiGraph
     edge: tuple
     order: int
@@ -136,24 +133,21 @@ def _ring_graph(g, u, v, m):
     return from_edge_list(m * n, pairs)
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(NamedTuple):
     """A standalone piece with an ordered tuple of attachment vertices."""
 
     graph: MultiGraph
     attachments: tuple
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     partition: tuple
     numerator: int
     denominator: int
     ratio: object
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     rows: tuple
     min_ratio: object
     argmin: tuple
@@ -248,8 +242,7 @@ TABLE2_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     partition: tuple
     computed: tuple
     expected: tuple
@@ -260,8 +253,7 @@ class Table2Row:
         return self.computed == self.expected and self.inequality_ok
 
 
-@dataclass(frozen=True)
-class Table2Report:
+class Table2Report(NamedTuple):
     rows: tuple
 
     @property

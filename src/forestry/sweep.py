@@ -8,10 +8,8 @@ set of violating graphs is anything other than the known exceptional
 ones, since that can only mean a generator or counting defect.
 """
 
-import json
-import logging
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import EQUAL, LESS, compare, p_bound, q_bound
 from .counting import count_forests
@@ -19,8 +17,6 @@ from .errors import CorruptRecord, InputError, IoError, ViolationFound
 from .families import family_levels
 from .multigraph import canonical_key
 from .named import catalog_entry
-
-log = logging.getLogger(__name__)
 
 RECORD_VERSION = 1
 
@@ -33,8 +29,7 @@ THEOREMS = {
 _VERDICTS = ("GE", "EQ", "LT")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     family: str
     n: int
     key: bytes
@@ -45,8 +40,7 @@ class SweepRecord:
     ts: str
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     theorem: str
     family: str
     n_max: int
@@ -61,6 +55,8 @@ def _stamp():
 
 
 def record_line(record):
+    import json
+
     return json.dumps(
         {
             "v": RECORD_VERSION,
@@ -83,6 +79,8 @@ def parse_record(line):
     A line is accepted only if record_line writes it back unchanged (up
     to its newline), so no two lines parse to the same record.
     """
+    import json
+
     try:
         raw = json.loads(line)
     except ValueError as exc:
@@ -138,6 +136,9 @@ def run_store_resume(store, family=None):
     logged warning so one bad write never blocks a rerun.  A key stored
     twice maps to its last record.
     """
+    import logging
+
+    log = logging.getLogger(__name__)
     done = {}
     try:
         # an undecodable byte spoils only its own line, which then fails to parse
@@ -166,6 +167,9 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     Returns a SweepSummary; raises ViolationFound when the violating
     graphs are not exactly the known exceptional ones in range.
     """
+    import logging
+
+    log = logging.getLogger(__name__)
     if theorem not in THEOREMS:
         raise InputError("theorem must be one of %s" % sorted(THEOREMS))
     if resume and not store:

@@ -221,6 +221,13 @@ def test_catalog_checks_every_entry_once_in_table_order(fresh):
     assert [e.name for e in catalog()] == fresh == list(GOLDEN)
 
 
+def test_an_entry_prints_its_fields_by_name():
+    assert repr(catalog_entry("K3")) == (
+        "CatalogEntry(name='K3', summary='triangle', "
+        "graph=MultiGraph(n=3, [0-1, 0-2, 1-2]), forests=7, holds=True)"
+    )
+
+
 def test_unknown_name_raises(fresh):
     with pytest.raises(InputError):
         catalog_entry("K7")

@@ -306,13 +306,15 @@ def test_constants_bad_arguments(cli):
     [
         (("constants", "--fd", "3", "--max-m", "2"), "--max-m"),
         (("constants", "--fd", "3", "--kind", "trees"), "--kind"),
-        (("count", "--catalog", "K4", "--brute-cap", "30"), "--brute-cap"),
+        (("count", "--catalog", "K4", "g.txt"), "--catalog"),
     ],
 )
 def test_flags_that_would_be_ignored_are_refused(cli, argv, flag):
     rc, out, err = cli(*argv)
     assert (rc, out) == (2, "")
     assert flag in err
+    # refused by the command's own check, not by argparse as an unknown option
+    assert "unrecognized arguments" not in err
 
 
 def test_max_m_above_the_cap_is_refused_before_any_work(cli, monkeypatch):
@@ -448,6 +450,17 @@ def test_input_conflicts(cli, tmp_path):
     assert "not both" in err
     assert cli("count", str(tmp_path / "missing.txt"))[0] == 2
     assert cli("count", stdin="definitely not a graph\n")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "stdin, found",
+    [("Bw\nCr\n", 2), ("Bw\n3 1\n0 1\n", 3)],
+    ids=["two-graph6-lines", "graph6-then-edge-list"],
+)
+def test_graph6_followed_by_more_lines_is_refused(cli, stdin, found):
+    rc, out, err = cli("count", stdin=stdin)
+    assert (rc, out) == (2, "")
+    assert err == f"error: graph6 input is one line, found {found} lines\n"
 
 
 def test_an_undecodable_input_file_is_an_input_error(cli, tmp_path):

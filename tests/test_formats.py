@@ -3,7 +3,7 @@ import random
 import pytest
 
 from forestry import from_edge_list
-from forestry.errors import LoopRejected, NotSimple, TooLarge, VertexOutOfRange
+from forestry.errors import InputError, LoopRejected, NotSimple, TooLarge, VertexOutOfRange
 from forestry.formats import (
     MAX_VERTICES,
     format_edge_list,
@@ -138,6 +138,14 @@ def test_autodetect():
     assert parse_graph("# just a comment\nA_") == from_edge_list(2, [(0, 1)])
     with pytest.raises(ValueError):
         parse_graph("# nothing here\n")
+
+
+def test_graph6_input_is_one_line():
+    k3 = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
+    assert parse_graph("# a triangle\n>>graph6<<Bw\n\n# done\n") == k3
+    for text, found in (("Bw\nCr\n", 2), ("Bw\n3 1\n0 1\n", 3), ("Bw\n# k\nBw\nBw", 3)):
+        with pytest.raises(InputError, match=f"found {found} lines"):
+            parse_graph(text)
 
 
 def test_format_edge_list_is_deterministic():

@@ -1,8 +1,9 @@
 """The package namespace loads lazily, and a command imports only its layers.
 
 Each check runs in a fresh interpreter, since this one has long since
-loaded every module.  Only ``forestry.*`` modules are inspected: a site
-``.pth`` file may import standard-library modules before any of ours.
+loaded every module.  A site ``.pth`` file may import standard-library
+modules before any of ours, so a check on those compares ``sys.modules``
+before and after the code it runs.
 """
 
 import ast
@@ -162,19 +163,19 @@ def test_catalog_stays_a_function_after_a_submodule_import():
 
 
 def _cli_imports(*argv, stdin=""):
-    """stdout of `forestry ARGV` and the forestry modules loaded when it exits.
+    """stdout of `forestry ARGV` and the modules it adds to sys.modules.
 
     sys.modules, not ``-X importtime``: the package's first-use hook loads
     its modules through importlib, which ``-X importtime`` does not report.
     """
     code = (
         "import runpy, sys\n"
+        "before = set(sys.modules)\n"
         "sys.argv = ['forestry', *%r]\n"
         "try:\n"
         "    runpy.run_module('forestry.cli', run_name='__main__', alter_sys=True)\n"
         "finally:\n"
-        "    loaded = [m for m in sys.modules if m.startswith('forestry')]\n"
-        "    sys.stderr.write('\\n' + ' '.join(loaded))\n"
+        "    sys.stderr.write('\\n' + ' '.join(set(sys.modules) - before))\n"
     ) % (argv,)
     out, err = _python("-c", code, stdin=stdin)
     return out, set(err.splitlines()[-1].split())
@@ -212,3 +213,21 @@ def test_a_ratio_command_loads_the_rings():
     out, loaded = _cli_imports("ratio", "--suite", "diamond")
     assert out.startswith("suite diamond\n")
     assert "forestry.rings" in loaded
+
+
+# standard-library modules that no record type or one-shot command needs;
+# dataclasses brings inspect along
+FIRST_USE_SKIPS = {"dataclasses", "inspect", "logging", "json"}
+
+
+def test_first_use_loads_no_dataclasses_logging_or_json():
+    code = (
+        "before = set(sys.modules)\nimport forestry\nforestry.catalog()\n"
+        "print(' '.join(set(sys.modules) - before))"
+    )
+    added = set(_python("-c", "import sys\n" + code)[0].split())
+    assert "forestry.sweep" in added
+    assert added.isdisjoint(FIRST_USE_SKIPS)
+    out, added = _cli_imports("count", "--catalog", "K4")
+    assert out == "38\n" and "forestry.named" in added
+    assert added.isdisjoint(FIRST_USE_SKIPS)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import typing
 from fractions import Fraction
@@ -357,10 +356,14 @@ def test_tree_count_shrinks_by_at_most_the_constant():
         done += 1
 
 
-def test_type_hints_of_the_exported_dataclasses_resolve():
+def test_type_hints_of_the_exported_records_resolve():
     exported = [getattr(forestry, name) for name in forestry.__all__]
-    classes = [c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    classes = [c for c in exported if isinstance(c, type) and hasattr(c, "_fields")]
+    assert len(classes) == 9
     assert forestry.LiftConstant in classes and forestry.CatalogEntry in classes
     for cls in classes:
         hints = typing.get_type_hints(cls)
-        assert set(hints) >= {f.name for f in dataclasses.fields(cls)}
+        assert set(hints) >= set(cls._fields)
+        record = cls(*range(len(cls._fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], None)

@@ -1,7 +1,6 @@
 import json
 import logging
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -114,7 +113,7 @@ def test_resume_raises_on_a_stored_unexpected_violation(tmp_path):
     sweep_theorem("T1", 4, store=store)
     records = [parse_record(line) for line in store.read_text().splitlines()]
     lines = [
-        record_line(replace(r, verdict="LT")) if r.key == key_of("K4-e") else record_line(r)
+        record_line(r._replace(verdict="LT")) if r.key == key_of("K4-e") else record_line(r)
         for r in records
     ]
     store.write_text("\n".join(lines) + "\n")
@@ -172,6 +171,13 @@ def test_an_undecodable_line_is_skipped_with_a_warning(tmp_path, caplog):
     assert summary.skipped == 2
     assert len(caplog.records) == 1
     assert "line 2" in caplog.text
+
+
+def test_a_record_prints_its_fields_by_name():
+    assert repr(make_record()) == (
+        "SweepRecord(family='23', n=4, key=b'\\x01\\x02', forests=38, "
+        "bound_text='2^12 3^6 / 4', verdict='GE', exception=False, ts='2026-08-16T00:00:00Z')"
+    )
 
 
 def test_parse_record_rejects_damage():
