@@ -3,19 +3,21 @@
 Eight subcommands share one input convention: a positional file path,
 stdin when the path is absent, or --catalog NAME for a built-in graph.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure (a sweep violation, a catalog mismatch, or a
-cross-check disagreement), 2 usage or input errors.  Each command
-imports the layers it uses when it runs, so a count on stdin never
-loads the bounds, rings, lifts, families, sweeps or catalog, and a
---catalog NAME command checks only that entry and loads the bounds but
-not the rings.
+1 verification failure (a sweep violation, a catalog mismatch, a
+cross-check disagreement, or a failed table2 check), 2 usage or input
+errors.  Each handler returns one result, the JSON object without its
+"v" and the text lines rendered from that object, and main alone prints
+it in the chosen form.  Each command imports the layers it uses when it
+runs, so a count on stdin never loads the bounds, rings, lifts,
+families, sweeps or catalog, and a --catalog NAME command checks only
+that entry and loads the bounds but not the rings.
 """
 
 import argparse
 import signal
 import sys
 
-from .errors import CatalogMismatch, ForestryError, InputError, ViolationFound
+from .errors import CatalogMismatch, CrossCheckFailed, ForestryError, InputError, ViolationFound
 
 SCHEMA_VERSION = 1  # raised when a JSON field changes meaning
 
@@ -41,6 +43,10 @@ def _check_args(ns):
         for flag in ("max_m", "kind"):
             if args[flag] is not None:
                 raise InputError(f"--fd takes no --{flag.replace('_', '-')}")
+        from .rings import DEFAULT_FD_CAP
+
+        if not 3 <= ns.fd <= DEFAULT_FD_CAP:
+            raise InputError(f"--fd must be in 3..{DEFAULT_FD_CAP}, got {ns.fd}")
     if args.get("max_m") is not None:
         from .lifts import DEFAULT_CONSTANT_CAP as cap
 
@@ -71,12 +77,6 @@ def _load_graph(ns):
     return parse_graph(text)
 
 
-def _emit_json(obj):
-    import json
-
-    print(json.dumps(obj, sort_keys=True))
-
-
 def _cmd_count(ns):
     """count and trees: text shows the one count, JSON both."""
     from .counting import count_forests, count_forests_bruteforce, count_trees
@@ -88,24 +88,14 @@ def _cmd_count(ns):
     if getattr(ns, "cross_check", False):
         brute = count_forests_bruteforce(g)
         if brute != forests:
-            print(
-                f"error: engine counts {forests} forests, brute force {brute}",
-                file=sys.stderr,
-            )
-            return 1
-    if json_mode:
-        _emit_json(
-            {
-                "v": SCHEMA_VERSION,
-                "n": g.n,
-                "m": g.m,
-                "forests": str(forests),
-                "trees": str(trees),
-            }
-        )
-    else:
-        print(forests if ns.subcommand == "count" else trees)
-    return 0
+            raise CrossCheckFailed(f"engine counts {forests} forests, brute force {brute}")
+    payload = {
+        "n": g.n,
+        "m": g.m,
+        "forests": str(forests),
+        "trees": str(trees),
+    }
+    return payload, [payload["forests" if ns.subcommand == "count" else "trees"]]
 
 
 def _cmd_bound(ns):
@@ -118,103 +108,59 @@ def _cmd_bound(ns):
         which = "q" if degree_profile(g)[2] else "p"
     expr = (p_bound if which == "p" else q_bound)(g)
     forests = count_forests(g)
-    verdict = compare(forests, expr)
-    if ns.output == "json":
-        _emit_json(
-            {
-                "v": SCHEMA_VERSION,
-                "n": g.n,
-                "m": g.m,
-                "forests": str(forests),
-                "which": which,
-                "bound": str(expr),
-                "verdict": verdict,
-            }
-        )
-    else:
-        print(f"forests {forests}")
-        print(f"bound {expr}")
-        print(f"verdict {verdict}")
-    return 0
-
-
-def _key_names():
-    from .multigraph import canonical_key
-    from .named import catalog
-
-    names = {}
-    for entry in catalog():
-        names.setdefault(canonical_key(entry.graph), entry.name)
-    return names
-
-
-def _outcome_list(pairs, names):
-    return [
-        {"n": n, "key": key.hex(), "name": names.get(key)} for n, key in pairs
-    ]
-
-
-def _outcome_text(pairs, names):
-    shown = [
-        f"{names.get(key, key.hex())} (n={n})" for n, key in pairs
-    ]
-    return ", ".join(shown)
+    payload = {
+        "n": g.n,
+        "m": g.m,
+        "forests": str(forests),
+        "which": which,
+        "bound": str(expr),
+        "verdict": compare(forests, expr),
+    }
+    return payload, [f"{key} {payload[key]}" for key in ("forests", "bound", "verdict")]
 
 
 def _cmd_verify(ns):
     from .families import DEFAULT_FAMILY_CAPS
+    from .multigraph import canonical_key
+    from .named import catalog
     from .sweep import sweep_theorem
 
     n_max = ns.max_n or DEFAULT_FAMILY_CAPS[_degree_set(ns)]
     summary = sweep_theorem("T" + ns.theorem, n_max, store=ns.store, resume=ns.resume)
-    names = _key_names()
-    if ns.output == "json":
-        _emit_json(
-            {
-                "v": SCHEMA_VERSION,
-                "theorem": ns.theorem,
-                "family": summary.family,
-                "n_max": summary.n_max,
-                "checked": summary.checked,
-                "skipped": summary.skipped,
-                "violations": _outcome_list(summary.violations, names),
-                "equalities": _outcome_list(summary.equalities, names),
-            }
-        )
-    else:
-        print(f"theorem {ns.theorem}  family {summary.family}  max n {summary.n_max}")
-        print(f"checked {summary.checked}  skipped {summary.skipped}")
-        v = _outcome_text(summary.violations, names)
-        e = _outcome_text(summary.equalities, names)
-        print(f"violations {len(summary.violations)}" + (f": {v}" if v else ""))
-        print(f"equalities {len(summary.equalities)}" + (f": {e}" if e else ""))
-    return 0
+    # a graph with two catalog names goes by the first
+    names = {canonical_key(e.graph): e.name for e in reversed(catalog())}
+    payload = {
+        "theorem": ns.theorem,
+        "family": summary.family,
+        "n_max": summary.n_max,
+        "checked": summary.checked,
+        "skipped": summary.skipped,
+    }
+    lines = [
+        f"theorem {payload['theorem']}  family {payload['family']}  max n {payload['n_max']}",
+        f"checked {payload['checked']}  skipped {payload['skipped']}",
+    ]
+    for kind in ("violations", "equalities"):
+        payload[kind] = [
+            {"n": n, "key": key.hex(), "name": names.get(key)} for n, key in getattr(summary, kind)
+        ]
+        shown = ", ".join(f"{o['name'] or o['key']} (n={o['n']})" for o in payload[kind])
+        lines.append(f"{kind} {len(payload[kind])}" + (f": {shown}" if shown else ""))
+    return payload, lines
 
 
 def _cmd_family(ns):
     from .families import enumerate_family
     from .formats import format_graph6
 
-    members = enumerate_family(ns.n, _degree_set(ns))
-    lines = [format_graph6(g) for g in members]
-    if ns.output == "json":
-        _emit_json(
-            {
-                "v": SCHEMA_VERSION,
-                "family": ns.degrees,
-                "n": ns.n,
-                "count": len(lines),
-                "members": lines,
-            }
-        )
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
-def _edges_text(g):
-    return " ".join(f"{u}-{v}" for u, v in g.edge_list())
+    members = [format_graph6(g) for g in enumerate_family(ns.n, _degree_set(ns))]
+    payload = {
+        "family": ns.degrees,
+        "n": ns.n,
+        "count": len(members),
+        "members": members,
+    }
+    return payload, members
 
 
 def _radical_text(rb):
@@ -229,81 +175,62 @@ def _cmd_constants(ns):
         from .rings import upper_bound_fd
 
         rb = upper_bound_fd(ns.fd)
-        if ns.output == "json":
-            _emit_json(
-                {
-                    "v": SCHEMA_VERSION,
-                    "d": ns.fd,
-                    "radicand": rb.radicand,
-                    "index": rb.index,
-                    "outer": rb.outer,
-                    "inner": rb.inner,
-                    "value": rb.value(),
-                }
-            )
-        else:
-            plain = f"{rb.radicand}^(1/{rb.index})"
-            factored = _radical_text(rb)
-            middle = "" if factored == plain else f" = {plain}"
-            print(f"d {ns.fd}  ceiling {factored}{middle} = {rb.value():.10f}")
-        return 0
+        payload = {
+            "d": ns.fd,
+            "radicand": rb.radicand,
+            "index": rb.index,
+            "outer": rb.outer,
+            "inner": rb.inner,
+            "value": rb.value(),
+        }
+        plain = f"{rb.radicand}^(1/{rb.index})"
+        factored = _radical_text(rb)
+        middle = "" if factored == plain else f" = {plain}"
+        return payload, [f"d {ns.fd}  ceiling {factored}{middle} = {payload['value']:.10f}"]
     from .lifts import lift_constant
 
     kinds = (ns.kind,) if ns.kind in ("forests", "trees") else ("forests", "trees")
+    constants = [lift_constant(m, kind) for m in range(1, (ns.max_m or 3) + 1) for kind in kinds]
     rows = [
-        lift_constant(m, kind)
-        for m in range(1, (ns.max_m or 3) + 1)
-        for kind in kinds
+        {
+            "m": c.m,
+            "kind": c.kind,
+            "value": str(c.value),
+            "degrees": c.degrees,
+            "witness_n": c.witness.n,
+            "witness_edges": c.witness.edge_list(),
+        }
+        for c in constants
     ]
-    if ns.output == "json":
-        _emit_json(
-            {
-                "v": SCHEMA_VERSION,
-                "constants": [
-                    {
-                        "m": c.m,
-                        "kind": c.kind,
-                        "value": str(c.value),
-                        "degrees": list(c.degrees),
-                        "witness_n": c.witness.n,
-                        "witness_edges": [list(e) for e in c.witness.edge_list()],
-                    }
-                    for c in rows
-                ],
-            }
-        )
-    else:
-        for c in rows:
-            print(
-                f"m {c.m}  {c.kind:<7}  value {str(c.value):<6}"
-                f"  witness n={c.witness.n} edges {_edges_text(c.witness)}"
-            )
-    return 0
+    lines = [
+        f"m {r['m']}  {r['kind']:<7}  value {r['value']:<6}"
+        f"  witness n={r['witness_n']} edges "
+        + " ".join(f"{u}-{v}" for u, v in r["witness_edges"])
+        for r in rows
+    ]
+    return {"constants": rows}, lines
 
 
 def _ratio_suites():
     from .rings import Gadget
     from .multigraph import from_edge_list
 
-    double_star = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    two_edges = from_edge_list(4, [(0, 1), (2, 3)])
-    diamond = from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    tailed = from_edge_list(
-        5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 2), (4, 3)]
-    )
-    triangle = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
+    triangle = Gadget(from_edge_list(3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2))
     return {
         "double-star": (
-            Gadget(double_star, (2, 3, 4, 5)),
-            Gadget(two_edges, (0, 1, 2, 3)),
+            Gadget(from_edge_list(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), (2, 3, 4, 5)),
+            Gadget(from_edge_list(4, [(0, 1), (2, 3)]), (0, 1, 2, 3)),
         ),
         "tailed-diamond": (
-            Gadget(tailed, (0, 1, 4)),
-            Gadget(triangle, (0, 1, 2)),
+            Gadget(
+                from_edge_list(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 2), (4, 3)]),
+                (0, 1, 4),
+            ),
+            triangle,
         ),
         "diamond": (
-            Gadget(diamond, (0, 1, 2)),
-            Gadget(triangle, (0, 1, 2)),
+            Gadget(from_edge_list(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), (0, 1, 2)),
+            triangle,
         ),
     }
 
@@ -312,81 +239,62 @@ def _partition_text(part):
     return "|".join(",".join(str(i) for i in block) for block in part)
 
 
-def _partition_list(part):
-    return [list(block) for block in part]
-
-
-def _ratio_payload(name, report):
-    return {
-        "suite": name,
-        "rows": [
-            {
-                "partition": _partition_list(row.partition),
-                "numerator": str(row.numerator),
-                "denominator": str(row.denominator),
-                "ratio": str(row.ratio),
-            }
-            for row in report.rows
-        ],
-        "min": str(report.min_ratio),
-        "argmin": _partition_list(report.argmin),
-        "zero_rows": [_partition_list(row.partition) for row in report.zero_rows],
-    }
-
-
-def _table2_payload(report):
-    return {
-        "suite": "table2",
-        "rows": [
-            {
-                "partition": _partition_list(row.partition),
-                "computed": [str(x) for x in row.computed],
-                "expected": [str(x) for x in row.expected],
-                "ok": row.ok,
-            }
-            for row in report.rows
-        ],
-        "ok": report.ok,
-    }
-
-
 def _cmd_ratio(ns):
+    """Every chosen suite; a failed table2 check comes back as a third item."""
     from .rings import min_ratio_check, table2_check
 
     suites = _ratio_suites()
     chosen = list(suites) + ["table2"] if ns.suite == "all" else [ns.suite]
     payloads = []
-    failed = False
+    lines = []
+    failure = []
     for name in chosen:
+        lines.append(f"suite {name}")
         if name == "table2":
             report = table2_check()
-            payloads.append(_table2_payload(report))
-            failed = failed or not report.ok
+            payload = {
+                "suite": name,
+                "rows": [
+                    {
+                        "partition": row.partition,
+                        "computed": [str(x) for x in row.computed],
+                        "expected": [str(x) for x in row.expected],
+                        "ok": row.ok,
+                    }
+                    for row in report.rows
+                ],
+                "ok": report.ok,
+            }
+            for row in payload["rows"]:
+                cells = " ".join(row["computed"])
+                mark = "ok" if row["ok"] else "MISMATCH"
+                lines.append(f"  {_partition_text(row['partition']):<9} {cells:<14} {mark}")
+            lines.append(f"  all rows {'match' if payload['ok'] else 'DO NOT match'}")
+            if not payload["ok"]:
+                failure = ["table2 expectations failed"]
         else:
-            a, b = suites[name]
-            payloads.append(_ratio_payload(name, min_ratio_check(a, b)))
-    if ns.output == "json":
-        _emit_json({"v": SCHEMA_VERSION, "suites": payloads})
-    else:
-        for payload in payloads:
-            print(f"suite {payload['suite']}")
-            if payload["suite"] == "table2":
-                for row in payload["rows"]:
-                    part = _partition_text(row["partition"])
-                    cells = " ".join(row["computed"])
-                    mark = "ok" if row["ok"] else "MISMATCH"
-                    print(f"  {part:<9} {cells:<14} {mark}")
-                print(f"  all rows {'match' if payload['ok'] else 'DO NOT match'}")
-            else:
-                for row in payload["rows"]:
-                    part = _partition_text(row["partition"])
-                    print(f"  {part:<9} {row['numerator']}/{row['denominator']}")
-                where = _partition_text(payload["argmin"])
-                print(f"  min {payload['min']} at {where}")
-    if failed:
-        print("error: table2 expectations failed", file=sys.stderr)
-        return 1
-    return 0
+            report = min_ratio_check(*suites[name])
+            payload = {
+                "suite": name,
+                "rows": [
+                    {
+                        "partition": row.partition,
+                        "numerator": str(row.numerator),
+                        "denominator": str(row.denominator),
+                        "ratio": str(row.ratio),
+                    }
+                    for row in report.rows
+                ],
+                "min": str(report.min_ratio),
+                "argmin": report.argmin,
+                "zero_rows": [row.partition for row in report.zero_rows],
+            }
+            for row in payload["rows"]:
+                part = _partition_text(row["partition"])
+                lines.append(f"  {part:<9} {row['numerator']}/{row['denominator']}")
+            lines.append(f"  min {payload['min']} at {_partition_text(payload['argmin'])}")
+        payloads.append(payload)
+    return {"suites": payloads}, lines, *failure
 
 
 def _cmd_catalog(ns):
@@ -395,50 +303,52 @@ def _cmd_catalog(ns):
     from .named import catalog, catalog_entry
 
     entries = catalog() if ns.name is None else [catalog_entry(ns.name)]
-    if ns.output == "json":
-        out = []
-        for e in entries:
-            obj = {
-                "name": e.name,
-                "summary": e.summary,
-                "n": e.graph.n,
-                "m": e.graph.m,
-                "forests": str(e.forests),
-                "trees": str(count_trees(e.graph)),
-                "degree_counts": list(e.degree_counts),
-                "bound": str(e.bound),
-                "holds": e.holds,
-            }
-            if ns.emit_edgelist:
-                obj["edges"] = [list(p) for p in e.graph.edge_list()]
-            out.append(obj)
-        _emit_json({"v": SCHEMA_VERSION, "entries": out})
-        return 0
-    if ns.emit_edgelist:
-        for e in entries:
-            print(f"# {e.name}")
-            sys.stdout.write(format_edge_list(e.graph))
-        return 0
-    if ns.name is not None:
-        e = entries[0]
-        print(f"name {e.name}")
-        print(f"summary {e.summary}")
-        print(f"vertices {e.graph.n}")
-        print(f"edges {e.graph.m}")
-        print(f"forests {e.forests}")
-        print(f"trees {count_trees(e.graph)}")
-        n2, n3, n4 = e.degree_counts
-        print(f"degrees 2:{n2} 3:{n3} 4:{n4}")
-        print(f"bound {e.bound}")
-        print(f"holds {'yes' if e.holds else 'no'}")
-        return 0
-    print(f"{'name':<6} {'n':>2} {'m':>2} {'forests':>8}  {'bound':<18} holds")
+    # the table and the edge lists show no tree count, so text skips them there
+    with_trees = ns.output == "json" or (ns.name is not None and not ns.emit_edgelist)
+    payloads = []
     for e in entries:
-        print(
-            f"{e.name:<6} {e.graph.n:>2} {e.graph.m:>2} {e.forests:>8}"
-            f"  {str(e.bound):<18} {'yes' if e.holds else 'no'}"
-        )
-    return 0
+        obj = {
+            "name": e.name,
+            "summary": e.summary,
+            "n": e.graph.n,
+            "m": e.graph.m,
+            "forests": str(e.forests),
+            "trees": str(count_trees(e.graph)) if with_trees else None,
+            "degree_counts": e.degree_counts,
+            "bound": str(e.bound),
+            "holds": e.holds,
+        }
+        if ns.emit_edgelist:
+            obj["edges"] = e.graph.edge_list()
+        payloads.append(obj)
+    if ns.emit_edgelist:
+        lines = [
+            line
+            for e in entries
+            for line in (f"# {e.name}", *format_edge_list(e.graph).splitlines())
+        ]
+    elif ns.name is not None:
+        (obj,) = payloads
+        n2, n3, n4 = obj["degree_counts"]
+        lines = [
+            f"name {obj['name']}",
+            f"summary {obj['summary']}",
+            f"vertices {obj['n']}",
+            f"edges {obj['m']}",
+            f"forests {obj['forests']}",
+            f"trees {obj['trees']}",
+            f"degrees 2:{n2} 3:{n3} 4:{n4}",
+            f"bound {obj['bound']}",
+            f"holds {'yes' if obj['holds'] else 'no'}",
+        ]
+    else:
+        lines = [f"{'name':<6} {'n':>2} {'m':>2} {'forests':>8}  {'bound':<18} holds"]
+        lines += [
+            f"{o['name']:<6} {o['n']:>2} {o['m']:>2} {o['forests']:>8}"
+            f"  {o['bound']:<18} {'yes' if o['holds'] else 'no'}"
+            for o in payloads
+        ]
+    return {"entries": payloads}, lines
 
 
 _DISPATCH = {
@@ -624,13 +534,24 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         _check_args(ns)
-        return _DISPATCH[ns.subcommand](ns)
-    except (ViolationFound, CatalogMismatch) as exc:
+        payload, lines, *failure = _DISPATCH[ns.subcommand](ns)
+        if ns.output == "json":
+            import json
+
+            print(json.dumps({"v": SCHEMA_VERSION, **payload}, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+    except (ViolationFound, CatalogMismatch, CrossCheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ForestryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failure:
+        print(f"error: {failure[0]}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def entry():

@@ -66,6 +66,10 @@ class CatalogMismatch(ForestryError):
     """A catalog entry's computed value disagrees with its stored expectation."""
 
 
+class CrossCheckFailed(ForestryError):
+    """The counting engine and the brute-force count disagree on a graph."""
+
+
 class ViolationFound(ForestryError):
     """A sweep found a graph violating a bound that should hold."""
 

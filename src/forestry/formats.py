@@ -11,6 +11,8 @@ Parse problems raise InputError (a ValueError); structural problems
 A vertex count above MAX_VERTICES raises TooLarge before any graph is built.
 """
 
+import re
+
 from .errors import InputError, NotSimple, TooLarge
 from .multigraph import from_edge_list
 
@@ -18,6 +20,8 @@ GRAPH6_HEADER = ">>graph6<<"
 # a graph holds one neighbour dict per vertex, so a header alone could
 # otherwise ask for any amount of memory
 MAX_VERTICES = 100_000
+# ASCII decimal only: int() would also read "1_1", "+0" and other scripts' digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _check_order(n):
@@ -33,6 +37,12 @@ def _meaningful_lines(text):
         yield s
 
 
+def _two_integers(toks, what, line):
+    if not all(_INTEGER.fullmatch(t) for t in toks):
+        raise InputError(f"{what} must be two integers, got {line!r}")
+    return int(toks[0]), int(toks[1])
+
+
 def parse_edge_list(text):
     lines = list(_meaningful_lines(text))
     if not lines:
@@ -40,10 +50,7 @@ def parse_edge_list(text):
     head = lines[0].split()
     if len(head) != 2:
         raise InputError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise InputError(f"header must be two integers, got {lines[0]!r}") from None
+    n, m = _two_integers(head, "header", lines[0])
     if n < 0 or m < 0:
         raise InputError(f"header counts must be nonnegative, got {lines[0]!r}")
     _check_order(n)
@@ -55,10 +62,7 @@ def parse_edge_list(text):
         toks = line.split()
         if len(toks) != 2:
             raise InputError(f"edge line must be 'u v', got {line!r}")
-        try:
-            pairs.append((int(toks[0]), int(toks[1])))
-        except ValueError:
-            raise InputError(f"edge line must be two integers, got {line!r}") from None
+        pairs.append(_two_integers(toks, "edge line", line))
     return from_edge_list(n, pairs)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from forestry.errors import ForestryError
 from forestry.families import DEFAULT_FAMILY_CAPS
 from forestry.formats import parse_graph
 from forestry.named import catalog_entry
+from forestry.rings import TABLE2_ROWS
 from forestry.sweep import THEOREMS, SweepSummary
 
 
@@ -74,6 +76,14 @@ def test_count_cross_check(cli):
     rc, out, _ = cli("count", "--catalog", "K4", "--cross-check")
     assert rc == 0
     assert out == "38\n"
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_a_cross_check_disagreement_exits_one_before_any_output(cli, monkeypatch, mode):
+    monkeypatch.setattr("forestry.counting.count_forests_bruteforce", lambda g: 37)
+    rc, out, err = cli("count", "--catalog", "K4", "--cross-check", "--output", mode)
+    assert (rc, out) == (1, "")
+    assert err == "error: engine counts 38 forests, brute force 37\n"
 
 
 def test_a_cross_check_past_the_brute_force_cap_is_a_usage_error(cli):
@@ -301,6 +311,15 @@ def test_constants_bad_arguments(cli):
     assert cli("constants", "--fd", "3", "--max-m", "0")[0] == 2
 
 
+@pytest.mark.parametrize("fd", ["7", "2", "-1"])
+def test_fd_outside_its_range_is_refused_at_the_flag(cli, monkeypatch, fd):
+    def never(*args, **kwargs):
+        raise AssertionError("upper_bound_fd called")
+
+    monkeypatch.setattr("forestry.rings.upper_bound_fd", never)
+    assert cli("constants", "--fd", fd) == (2, "", f"error: --fd must be in 3..6, got {fd}\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -369,6 +388,43 @@ def test_ratio_all_text(cli):
     assert "min 10/3" in out
     assert "suite table2" in out
     assert "all rows match" in out
+
+
+TABLE2_BROKEN_TEXT = """\
+suite table2
+  0|1|2|3   16 4 4 4       MISMATCH
+  0,1|2|3   12 2 4 4       ok
+  0,2|1|3   12 4 2 4       ok
+  0,3|1|2   12 4 4 2       ok
+  1,2|0|3   12 4 4 2       ok
+  1,3|0|2   12 4 2 4       ok
+  2,3|0|1   12 2 4 4       ok
+  0,1|2,3   9 1 3 3        ok
+  0,2|1,3   9 3 1 3        ok
+  0,3|1,2   9 3 3 1        ok
+  0|1,2,3   8 2 2 2        ok
+  1|0,2,3   8 2 2 2        ok
+  2|0,1,3   8 2 2 2        ok
+  3|0,1,2   8 2 2 2        ok
+  0,1,2,3   5 1 1 1        ok
+  all rows DO NOT match
+"""
+
+
+def test_a_failing_table2_prints_the_whole_table_then_exits_one(cli, monkeypatch):
+    (part, _), *rest = TABLE2_ROWS
+    monkeypatch.setattr("forestry.rings.TABLE2_ROWS", ((part, (16, 4, 4, 5)), *rest))
+    assert cli("ratio", "--suite", "table2") == (
+        1,
+        TABLE2_BROKEN_TEXT,
+        "error: table2 expectations failed\n",
+    )
+    rc, out, err = cli("ratio", "--suite", "table2", "--output", "json")
+    assert (rc, err) == (1, "error: table2 expectations failed\n")
+    (suite,) = json.loads(out)["suites"]
+    assert suite["ok"] is False
+    assert [row["ok"] for row in suite["rows"]] == [False] + [True] * 14
+    assert suite["rows"][0]["expected"] == ["16", "4", "4", "5"]
 
 
 def test_catalog_table(cli):
@@ -463,6 +519,20 @@ def test_graph6_followed_by_more_lines_is_refused(cli, stdin, found):
     assert err == f"error: graph6 input is one line, found {found} lines\n"
 
 
+@pytest.mark.parametrize(
+    "stdin, line",
+    [
+        ("1_1 0\n", "header"),
+        ("2 1\n+0 1\n", "edge line"),
+        ("\u0663 \u0662\n\u0660 \u0661\n\u0661 \u0662\n", "header"),
+    ],
+)
+def test_only_ascii_decimal_integers_are_read(cli, stdin, line):
+    rc, out, err = cli("count", "--output", "json", stdin=stdin)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {line} must be two integers, got ")
+
+
 def test_an_undecodable_input_file_is_an_input_error(cli, tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(b"\xff 0\n")
@@ -503,6 +573,98 @@ def test_usage_errors(cli):
     assert cli("frobnicate")[0] == 2
     assert cli("--help")[0] == 0
     assert cli("count", "--catalog", "K4", "--threads", "0")[0] == 2
+
+
+# stdout of every subcommand as (argv, text, JSON); an output of more than
+# a few lines is kept as the sha256 digest of its bytes
+PINNED = [
+    (
+        ('count', '--catalog', 'K4'),
+        '38\n',
+        '{"forests": "38", "m": 6, "n": 4, "trees": "16", "v": 1}\n',
+    ),
+    (
+        ('trees', '--catalog', 'K5'),
+        '125\n',
+        '{"forests": "291", "m": 10, "n": 5, "trees": "125", "v": 1}\n',
+    ),
+    (
+        ('bound', '--catalog', 'K4', '--which', 'p'),
+        'forests 38\nbound 2^12 3^6 / 4\nverdict LT\n',
+        '{"bound": "2^12 3^6 / 4", "forests": "38", "m": 6, "n": 4, "v": 1, "verdict": "LT", "which": "p"}\n',
+    ),
+    (
+        ('bound', '--catalog', 'K5', '--which', 'q'),
+        'forests 291\nbound 2^-8 198^12 / 10\nverdict LT\n',
+        '{"bound": "2^-8 198^12 / 10", "forests": "291", "m": 10, "n": 5, "v": 1, "verdict": "LT", "which": "q"}\n',
+    ),
+    (
+        ('verify', '--theorem', '1', '--max-n', '6'),
+        'theorem 1  family 23  max n 6\nchecked 19  skipped 0\nviolations 1: K4 (n=4)\nequalities 1: K4-e (n=4)\n',
+        '{"checked": 19, "equalities": [{"key": "0400000000000101010101", "n": 4, "name": "K4-e"}], "family": "23", "n_max": 6, "skipped": 0, "theorem": "1", "v": 1, "violations": [{"key": "0400000000010101010101", "n": 4, "name": "K4"}]}\n',
+    ),
+    (
+        ('verify', '--theorem', '2', '--max-n', '6'),
+        'theorem 2  family 234  max n 6\nchecked 53  skipped 0\nviolations 2: K5 (n=5), K6- (n=6)\nequalities 1: K5-e (n=5)\n',
+        'sha256:5fa2a0af691d5a5c5af028b706e91be06389a02dae7385e6a95cee4edbc4601f',
+    ),
+    (
+        ('family', '--degrees', '23', '--n', '6'),
+        'Erd_\nE{SW\nE{So\nEr_W\nEr`G\nE{CW\nE{OW\nEqGW\nE}GW\nErdg\nE{Sw\n',
+        '{"count": 11, "family": "23", "members": ["Erd_", "E{SW", "E{So", "Er_W", "Er`G", "E{CW", "E{OW", "EqGW", "E}GW", "Erdg", "E{Sw"], "n": 6, "v": 1}\n',
+    ),
+    (
+        ('constants',),
+        'sha256:aff3621701a7589766e2c6a9a28c05b19f23abb814e44a99c47208e5194775d7',
+        'sha256:45598db95c17efd86a667d8bb0d2f758dd30153c7e078a6f131f2b28e0357ec5',
+    ),
+    (
+        ('constants', '--fd', '3'),
+        'd 3  ceiling 2 * 3^(1/4) = 48^(1/4) = 2.6321480259\n',
+        '{"d": 3, "index": 4, "inner": 3, "outer": 2, "radicand": 48, "v": 1, "value": 2.6321480259049848}\n',
+    ),
+    (
+        ('constants', '--fd', '4'),
+        'd 4  ceiling 396^(1/5) = 3.3077984335\n',
+        '{"d": 4, "index": 5, "inner": 396, "outer": 1, "radicand": 396, "v": 1, "value": 3.307798433457187}\n',
+    ),
+    (
+        ('ratio', '--suite', 'all'),
+        'sha256:b80538ad1759150356b1585bbfaeb07318ea7ab4af1f2f39a54965b6ec88d8b4',
+        'sha256:82151993ac02d3af5dbf678692f03e5ee03f97ba03b0ebf109f29d6532f1e730',
+    ),
+    (
+        ('catalog',),
+        'sha256:15cdae264bc674180d12436f9b90a772005b5fb05507065604eacdca3e1e893c',
+        'sha256:e170210137b5fab412210e1dd196173f404cc582937636dba50f2afdb4f47f27',
+    ),
+    (
+        ('catalog', '--name', 'H7'),
+        'name H7\nsummary 9-vertex 4-regular graph: triangle whose neighbourhood is a 3-by-3 biclique\nvertices 9\nedges 18\nforests 57631\ntrees 12096\ndegrees 2:0 3:0 4:9\nbound 198^20 / 10\nholds yes\n',
+        '{"entries": [{"bound": "198^20 / 10", "degree_counts": [0, 0, 9], "forests": "57631", "holds": true, "m": 18, "n": 9, "name": "H7", "summary": "9-vertex 4-regular graph: triangle whose neighbourhood is a 3-by-3 biclique", "trees": "12096"}], "v": 1}\n',
+    ),
+    (
+        ('catalog', '--emit-edgelist'),
+        'sha256:a411c6725316b474707c33e40cb85b0d2317386225d9aa4c347af644acdbc074',
+        'sha256:cf5bf62db153b82e2d70ddad9cbbd4755e6bec0d769904eb519659d0b794356b',
+    ),
+]
+
+
+PINNED_CASES = [
+    pytest.param(argv, mode, out, id=" ".join((*argv, mode)))
+    for argv, *outs in PINNED
+    for mode, out in zip(("text", "json"), outs)
+]
+
+
+@pytest.mark.parametrize("argv, mode, expected", PINNED_CASES)
+def test_every_subcommand_prints_the_pinned_bytes(cli, argv, mode, expected):
+    rc, out, err = cli(*argv, "--output", mode)
+    assert (rc, err) == (0, "")
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert out == expected
 
 
 def test_stdout_is_deterministic(cli):

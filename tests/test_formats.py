@@ -54,6 +54,31 @@ def test_edge_list_header_errors():
         parse_edge_list("3 1\n0 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("1_1 0\n", "header"),
+        ("+2 0\n", "header"),
+        ("\u0663 \u0662\n\u0660 \u0661\n\u0661 \u0662\n", "header"),
+        ("2 1\n+0 1\n", "edge line"),
+        ("3 1\n0 1_0\n", "edge line"),
+        ("2 1\n\uff10 1\n", "edge line"),
+        ("2 1\n-0x1 1\n", "edge line"),
+    ],
+)
+def test_edge_list_integers_are_ascii_decimal(text, what):
+    # int() reads these as 11, 2, 3 and so on; the format defines none of them
+    with pytest.raises(InputError, match=f"^{what} must be two integers"):
+        parse_edge_list(text)
+
+
+def test_a_negative_integer_keeps_its_range_message():
+    with pytest.raises(InputError, match="must be nonnegative"):
+        parse_edge_list("-1 0\n")
+    with pytest.raises(VertexOutOfRange):
+        parse_edge_list("2 1\n-1 0\n")
+
+
 def test_edge_list_structural_errors():
     with pytest.raises(LoopRejected):
         parse_edge_list("2 1\n1 1\n")

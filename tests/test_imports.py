@@ -138,6 +138,27 @@ def test_every_refusal_is_a_forestry_error():
     assert cli_names.isdisjoint({"ValueError", "KeyError", "_resolve_catalog"})
 
 
+def _writes_output(node):
+    """Whether the node prints, writes to sys.stdout, imports json or names SCHEMA_VERSION."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "print"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "stdout" and getattr(node.value, "id", None) == "sys"
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return "json" in {a.name for a in node.names} or getattr(node, "module", None) == "json"
+    return isinstance(node, ast.Name) and node.id == "SCHEMA_VERSION"
+
+
+def test_only_main_writes_a_result():
+    # each handler returns its result, and main renders it as text or JSON,
+    # so the two forms of one answer cannot drift apart
+    tree = ast.parse((ROOT / "src" / "forestry" / "cli.py").read_text(encoding="utf-8"))
+    handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(handlers) >= 7
+    writers = sorted({f.name for f in handlers for node in ast.walk(f) if _writes_output(node)})
+    assert not writers, f"these handlers write their own output: {writers}"
+
+
 def test_an_unknown_name_is_refused_without_loading_anything():
     code = "import forestry\nassert not hasattr(forestry, 'no_such_name')"
     assert _loaded(code) == {"forestry"}
