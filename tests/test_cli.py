@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from forestry import canonical_key, enumerate_family, format_graph6
+from forestry import canonical_key, enumerate_family, format_graph6, named
 from forestry.cli import main
 from forestry.counting import BRUTE_FORCE_CAP
 from forestry.errors import ForestryError
@@ -16,6 +16,9 @@ from forestry.formats import parse_graph
 from forestry.named import catalog_entry
 from forestry.rings import TABLE2_ROWS
 from forestry.sweep import THEOREMS, SweepSummary
+
+
+TWO_TRIANGLES = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
 
 
 @pytest.fixture
@@ -121,16 +124,8 @@ def test_bound_explicit_q(cli):
     assert obj["forests"] == "38"
 
 
-def test_bound_rejects_wrong_family(cli):
-    # K5 is 4-regular, outside the {2,3} family that p covers
-    rc, _, err = cli("bound", "--catalog", "K5", "--which", "p")
-    assert rc == 2
-    assert "error" in err
-
-
 def test_bound_refuses_disconnected_input(cli):
-    two_triangles = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
-    for graph in (two_triangles, "0 0\n"):
+    for graph in (TWO_TRIANGLES, "0 0\n"):
         for which in ("auto", "p", "q"):
             rc, out, err = cli("bound", "--which", which, stdin=graph)
             assert (rc, out) == (2, "")
@@ -189,9 +184,10 @@ def test_verify_resume_reports_stored_violations(cli, tmp_path):
 def test_verify_exit_one_on_unexpected_violation(cli, monkeypatch):
     degree_set, family, bound_fn, _ = THEOREMS["T1"]
     monkeypatch.setitem(THEOREMS, "T1", (degree_set, family, bound_fn, ()))
-    rc, _, err = cli("verify", "--theorem", "1", "--max-n", "4")
-    assert rc == 1
-    assert "error" in err
+    rc, out, err = cli("verify", "--theorem", "1", "--max-n", "4")
+    assert (rc, out) == (1, "")
+    key = canonical_key(catalog_entry("K4").graph).hex()
+    assert err == f"error: unexpected violation at n=4 key={key}\n"
 
 
 def test_verify_rejects_nonpositive_max_n(cli):
@@ -566,6 +562,31 @@ def test_a_plain_value_error_is_a_defect_not_bad_input(cli, monkeypatch):
     monkeypatch.setattr("forestry.counting.count_forests", broken)
     with pytest.raises(ValueError, match="a defect"):
         cli("count", stdin="3 3\n0 1\n1 2\n0 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, err",
+    [
+        (("count",), "2 1\n0 0\n", "loop at vertex 0 rejected"),
+        (("count",), "2 1\n0 5\n", "edge (0, 5) out of range for n=2"),
+        (("count",), "100001 0\n", "100001 vertices is above the input limit of 100000"),
+        # K5 is 4-regular, outside the {2,3} family that p covers
+        (("bound", "--which", "p", "--catalog", "K5"), None, "degrees [4] are outside {2, 3}"),
+        (("bound",), TWO_TRIANGLES, "the bounds are stated for connected graphs"),
+    ],
+    ids=["loop", "vertex-range", "too-many-vertices", "degree-family", "disconnected"],
+)
+def test_each_refusal_exits_two_with_its_own_line(cli, argv, stdin, err):
+    assert cli(*argv, stdin=stdin) == (2, "", f"error: {err}\n")
+
+
+def test_a_catalog_mismatch_exits_one_before_any_output(cli, monkeypatch):
+    raw = [row[:4] + (row[4] + 1,) + row[5:] if row[0] == "Z3" else row for row in named._RAW]
+    monkeypatch.setattr(named, "_RAW", raw)
+    monkeypatch.setattr(named, "_CHECKED", {})
+    rc, out, err = cli("count", "--catalog", "Z3")
+    assert (rc, out) == (1, "")
+    assert err == "error: Z3: counted 56101 forests, catalog says 56102\n"
 
 
 def test_usage_errors(cli):
