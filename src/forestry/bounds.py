@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegreeOutOfFamily, Disconnected
+from .errors import InputError
 from .multigraph import degree_counts, is_connected
 
 LESS = "LT"
@@ -54,9 +54,9 @@ def degree_profile(g, degrees=(2, 3, 4)):
     bad = sorted(d for d in counts if d not in degrees)
     if bad:
         allowed = ", ".join(map(str, degrees))
-        raise DegreeOutOfFamily(f"degrees {bad} are outside {{{allowed}}}")
+        raise InputError(f"degrees {bad} are outside {{{allowed}}}")
     if not g.n or not is_connected(g):
-        raise Disconnected("the bounds are stated for connected graphs")
+        raise InputError("the bounds are stated for connected graphs")
     return counts.get(2, 0), counts.get(3, 0), counts.get(4, 0)
 
 

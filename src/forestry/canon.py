@@ -13,6 +13,8 @@ the best yields one, and the search returns to where the two paths part;
 a child in the orbit of an explored sibling, under the automorphisms
 found that fix the node's individualized vertices, is skipped.  Neither
 rule loses a serialization; the automorphisms found generate the group.
+A run store keeps these keys, so any change to the serialization must
+bump sweep.RECORD_VERSION; a resume then recounts every stored graph.
 """
 
 from itertools import groupby

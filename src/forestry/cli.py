@@ -3,9 +3,9 @@
 Eight subcommands share one input convention: a positional file path,
 stdin when the path is absent, or --catalog NAME for a built-in graph.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure (a sweep violation, a catalog mismatch, a
-cross-check disagreement, or a failed table2 check), 2 usage or input
-errors.  Each handler returns one result, the JSON object without its
+1 verification failure (a CheckFailed: a sweep violation, a catalog
+mismatch or a cross-check disagreement; or a failed table2 check), 2
+usage or input errors.  Each handler returns one result, the JSON object without its
 "v" and the text lines rendered from that object, and main alone prints
 it in the chosen form.  Each command imports the layers it uses when it
 runs, so a count on stdin never loads the bounds, rings, lifts,
@@ -17,7 +17,7 @@ import argparse
 import signal
 import sys
 
-from .errors import CatalogMismatch, CrossCheckFailed, ForestryError, InputError, ViolationFound
+from .errors import CheckFailed, ForestryError, InputError
 
 SCHEMA_VERSION = 1  # raised when a JSON field changes meaning
 
@@ -88,7 +88,7 @@ def _cmd_count(ns):
     if getattr(ns, "cross_check", False):
         brute = count_forests_bruteforce(g)
         if brute != forests:
-            raise CrossCheckFailed(f"engine counts {forests} forests, brute force {brute}")
+            raise CheckFailed(f"engine counts {forests} forests, brute force {brute}")
     payload = {
         "n": g.n,
         "m": g.m,
@@ -542,7 +542,7 @@ def main(argv=None):
         else:
             for line in lines:
                 print(line)
-    except (ViolationFound, CatalogMismatch, CrossCheckFailed) as exc:
+    except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ForestryError, OSError) as exc:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .errors import InvalidPartition, TooLarge
+from .errors import InputError
 from .multigraph import _identify, contract_set, is_connected
 
 FORESTS = "F"
 TREES = "T"
-# count_forests gives up with TooLarge once its state table passes this
+# count_forests gives up with InputError once its state table passes this
 # many frontier partitions.  A join at most doubles the table, so it never
 # holds more than twice as many.  K11 peaks at 115975 states, K12 at 678570.
 MAX_STATES = 2**18
@@ -180,7 +180,7 @@ def _join(states, p, q, t, leaves):
             s = _relabel(s[:p] + s[p + 1 :])
         out[s] = out.get(s, 0) + c
     if len(out) > MAX_STATES:
-        raise TooLarge(f"over {MAX_STATES} frontier states: the graph is too dense to count")
+        raise InputError(f"over {MAX_STATES} frontier states: the graph is too dense to count")
     return out
 
 
@@ -224,10 +224,10 @@ def count_forests_bruteforce(g):
     """Count acyclic edge subsets directly; parallel copies distinguishable.
 
     A subset containing two copies of a parallel bundle is cyclic, so it
-    is never counted.  Raises TooLarge above BRUTE_FORCE_CAP edges.
+    is never counted.  Raises InputError above BRUTE_FORCE_CAP edges.
     """
     if g.m > BRUTE_FORCE_CAP:
-        raise TooLarge(f"{g.m} edges exceeds the brute-force cap {BRUTE_FORCE_CAP}")
+        raise InputError(f"{g.m} edges exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     edges = g.edge_list()
     parent = list(range(g.n))
     size = [1] * g.n
@@ -272,11 +272,11 @@ def extension_count(g, partition):
     covered = set()
     for b in blocks:
         if not b:
-            raise InvalidPartition("empty block")
+            raise InputError("empty block")
         for x in b:
             if type(x) is not int or not 0 <= x < g.n or not g._adj[x]:
-                raise InvalidPartition(f"block vertex {x} is not a gadget vertex")
+                raise InputError(f"block vertex {x} is not a gadget vertex")
             if x in covered:
-                raise InvalidPartition(f"vertex {x} appears in two blocks")
+                raise InputError(f"vertex {x} appears in two blocks")
             covered.add(x)
     return count_forests(_identify(g, blocks))

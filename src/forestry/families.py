@@ -38,12 +38,12 @@ at the sweep's largest order: pruning never cuts a member's chain.
 
 Order limit.  DEFAULT_FAMILY_CAPS fixes the largest order of each family,
 12 for {2, 3} and 9 for {2, 3, 4}, where the theorem sweeps are pinned;
-a larger order raises CapExceeded.
+a larger order raises InputError.
 """
 
 from itertools import combinations
 
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .multigraph import MultiGraph, _components, _derive, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
@@ -121,7 +121,7 @@ def family_levels(degree_set, n_max):
     if n_max < 3:
         raise InputError("the families start at 3 vertices")
     if n_max > limit:
-        raise CapExceeded("order %d exceeds the cap of %d" % (n_max, limit))
+        raise InputError("order %d exceeds the cap of %d" % (n_max, limit))
     dmax = max(ds)
     # (graph, neighbour lists, degrees, automorphism generators)
     parents = [(MultiGraph(1), [()], [0], [])]

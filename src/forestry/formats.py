@@ -6,14 +6,14 @@ non-space character is '#' are comments, blank lines are skipped, and
 repeating a pair accumulates multiplicity.  graph6 (the usual 6-bit
 upper-triangle encoding) is accepted for simple graphs.
 
-Parse problems raise InputError (a ValueError); structural problems
-(loops, bad vertex ids) surface as the graph errors from from_edge_list.
-A vertex count above MAX_VERTICES raises TooLarge before any graph is built.
+Every problem raises InputError (a ValueError): a parse problem, a loop
+or bad vertex id from from_edge_list, and a vertex count above
+MAX_VERTICES, which is refused before any graph is built.
 """
 
 import re
 
-from .errors import InputError, NotSimple, TooLarge
+from .errors import InputError
 from .multigraph import from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -26,7 +26,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 def _check_order(n):
     if n > MAX_VERTICES:
-        raise TooLarge(f"{n} vertices is above the input limit of {MAX_VERTICES}")
+        raise InputError(f"{n} vertices is above the input limit of {MAX_VERTICES}")
 
 
 def _meaningful_lines(text):
@@ -124,7 +124,7 @@ def parse_graph6(text):
 def format_graph6(g):
     for u, v, t in g.bundles():
         if t > 1:
-            raise NotSimple(f"graph6 cannot encode the parallel bundle {u}-{v}")
+            raise InputError(f"graph6 cannot encode the parallel bundle {u}-{v}")
     n = g.n
     out = []
     if n <= 62:
@@ -135,7 +135,7 @@ def format_graph6(g):
         out.append((n >> 6 & 63) + 63)
         out.append((n & 63) + 63)
     else:
-        raise TooLarge(f"{n} vertices is past the graph6 writer's range")
+        raise InputError(f"{n} vertices is past the graph6 writer's range")
     bits = []
     for v, row in enumerate(g._adj):
         for u in range(v):

@@ -19,7 +19,7 @@ from math import prod
 from typing import NamedTuple
 
 from .counting import count_forests, count_trees
-from .errors import CapExceeded, InputError, OddDegree
+from .errors import InputError
 from .multigraph import (
     MultiGraph,
     _components,
@@ -50,7 +50,7 @@ class LiftConstant(NamedTuple):
 def _half_degree(g, x):
     d = g.degree(x)
     if d % 2:
-        raise OddDegree(f"vertex {x} has odd degree {d}, lifts need degree 2m")
+        raise InputError(f"vertex {x} has odd degree {d}, lifts need degree 2m")
     return d // 2
 
 
@@ -152,7 +152,7 @@ def lift_constant(m, kind="forests", cache=None):
     if kind not in ("forests", "trees"):
         raise InputError(f"kind must be 'forests' or 'trees', got {kind!r}")
     if not 1 <= m <= DEFAULT_CONSTANT_CAP:
-        raise CapExceeded(f"m = {m} is outside 1..{DEFAULT_CONSTANT_CAP}")
+        raise InputError(f"m = {m} is outside 1..{DEFAULT_CONSTANT_CAP}")
     best = None
     best_fields = None
     for seq in _partitions(2 * m):

@@ -10,7 +10,7 @@ a new graph.
 from __future__ import annotations
 
 from . import canon
-from .errors import EdgeAbsent, LoopRejected, VertexOutOfRange
+from .errors import InputError
 
 
 class MultiGraph:
@@ -20,7 +20,7 @@ class MultiGraph:
         # the edgeless graph on n vertices; from_edge_list and the minors
         # fill the rows, {neighbor: multiplicity} dicts with ascending keys
         if type(n) is not int or n < 0:
-            raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
+            raise InputError(f"vertex count {n!r} must be a nonnegative int")
         self.n = n
         self._adj = [{} for _ in range(n)]
         self._key = None
@@ -63,7 +63,7 @@ class MultiGraph:
 
     def _check(self, v):
         if type(v) is not int or v < 0 or v >= self.n:
-            raise VertexOutOfRange(f"vertex {v!r} not in 0..{self.n - 1}")
+            raise InputError(f"vertex {v!r} not in 0..{self.n - 1}")
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):
@@ -91,23 +91,23 @@ def _build(n, mults):
 
 def from_edge_list(n, pairs):
     if type(n) is not int or n < 0:
-        raise VertexOutOfRange(f"vertex count {n!r} must be a nonnegative int")
+        raise InputError(f"vertex count {n!r} must be a nonnegative int")
     mults = {}
     for pair in pairs:
         try:
             u, v = pair
         except (TypeError, ValueError):
-            raise VertexOutOfRange(f"edge {pair!r} is not a pair of vertices") from None
+            raise InputError(f"edge {pair!r} is not a pair of vertices") from None
         if type(u) is not int or type(v) is not int:
-            raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has non-integer endpoint")
+            raise InputError(f"edge ({u!r}, {v!r}) has non-integer endpoint")
         if u < v:
             key = (u, v)
         elif v < u:
             key = (v, u)
         else:
-            raise LoopRejected(f"loop at vertex {u} rejected")
+            raise InputError(f"loop at vertex {u} rejected")
         if key[0] < 0 or key[1] >= n:
-            raise VertexOutOfRange(f"edge ({u}, {v}) out of range for n={n}")
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
         mults[key] = mults.get(key, 0) + 1
     return _build(n, mults)
 
@@ -141,7 +141,7 @@ def delete_edge(g, u, v):
     """Remove one copy of the edge uv."""
     t = g.multiplicity(u, v)
     if t == 0:
-        raise EdgeAbsent(f"no edge between {u} and {v}")
+        raise InputError(f"no edge between {u} and {v}")
     mults = {(a, b): s for a, b, s in g.bundles()}
     mults[(u, v) if u < v else (v, u)] = t - 1  # _build drops a bundle at 0
     return _build(g.n, mults)
@@ -155,7 +155,7 @@ def contract_edge(g, u, v):
     are kept (multiplicities add).
     """
     if g.multiplicity(u, v) == 0:
-        raise EdgeAbsent(f"no edge between {u} and {v} to contract")
+        raise InputError(f"no edge between {u} and {v} to contract")
     return _identify(g, [(u, v)])
 
 
@@ -169,7 +169,7 @@ def contract_set(g, vset):
     """
     vs = sorted(set(vset))
     if not vs:
-        raise VertexOutOfRange("contract_set needs at least one vertex")
+        raise InputError("contract_set needs at least one vertex")
     for v in vs:
         g._check(v)
     if len(vs) == 1:

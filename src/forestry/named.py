@@ -4,7 +4,7 @@ Each entry stores only what cannot be derived: its name, a summary, the
 graph, its forest count and whether the degree-{2, 3, 4} bound holds.
 Each entry is built from its edge list and re-counted the first time it
 is used, and only that entry; catalog() checks all 28.  A disagreement
-with the stored count or verdict raises CatalogMismatch instead of
+with the stored count or verdict raises CheckFailed instead of
 letting a bad transcription leak into downstream checks.
 """
 
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .bounds import LESS, compare, degree_profile, q_bound
 from .counting import count_forests
-from .errors import CatalogMismatch, InputError
+from .errors import CheckFailed, InputError
 from .multigraph import MultiGraph, from_edge_list
 
 
@@ -357,12 +357,12 @@ _CHECKED = {}  # name -> entry, filled as each entry passes its check
 def _check(entry):
     actual = count_forests(entry.graph)
     if actual != entry.forests:
-        raise CatalogMismatch(
+        raise CheckFailed(
             "%s: counted %d forests, catalog says %d"
             % (entry.name, actual, entry.forests)
         )
     if (compare(entry.forests, entry.bound) != LESS) != entry.holds:
-        raise CatalogMismatch("%s: bound verdict flipped" % entry.name)
+        raise CheckFailed("%s: bound verdict flipped" % entry.name)
 
 
 def catalog():

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .counting import count_forests, extension_count
-from .errors import AttachmentMismatch, BridgeEdge, CapExceeded, Disconnected, InputError
+from .errors import InputError
 from .multigraph import (
     MultiGraph,
     contract_edge,
@@ -62,7 +62,7 @@ class RadicalBound(NamedTuple):
 def upper_bound_fd(d):
     """The ring-family ceiling [2 * F(K_{d+1} - e)]^(1/(d+1)) for d-regular graphs."""
     if not 3 <= d <= DEFAULT_FD_CAP:
-        raise CapExceeded(f"d = {d} is outside 3..{DEFAULT_FD_CAP}")
+        raise InputError(f"d = {d} is outside 3..{DEFAULT_FD_CAP}")
     n = d + 1
     seed = from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     radicand = 2 * count_forests(delete_edge(seed, 0, 1))
@@ -101,10 +101,10 @@ def ring_family(g, u, v, m_list):
     small m) an independent direct count of the constructed ring.
     """
     if not is_connected(g):
-        raise Disconnected("the ring construction needs a connected seed")
-    cut = delete_edge(g, u, v)  # raises EdgeAbsent when uv is missing
+        raise InputError("the ring construction needs a connected seed")
+    cut = delete_edge(g, u, v)  # raises InputError when uv is missing
     if not is_connected(cut):
-        raise BridgeEdge(f"edge {u}-{v} is a bridge, the broken ring would fall apart")
+        raise InputError(f"edge {u}-{v} is a bridge, the broken ring would fall apart")
     a_value = count_forests(cut)
     b_value = a_value - count_forests(contract_edge(g, u, v))
     if not a_value > b_value >= 0:
@@ -173,10 +173,10 @@ def set_partitions(items):
 def _check_gadget(g):
     att = g.attachments
     if len(set(att)) != len(att):
-        raise AttachmentMismatch(f"attachment list {att} repeats a vertex")
+        raise InputError(f"attachment list {att} repeats a vertex")
     for v in att:
         if not 0 <= v < g.graph.n:
-            raise AttachmentMismatch(f"attachment {v} is not a vertex")
+            raise InputError(f"attachment {v} is not a vertex")
 
 
 def _extensions(gadget, part):
@@ -196,7 +196,7 @@ def min_ratio_check(gadget_a, gadget_b):
     _check_gadget(gadget_b)
     k = len(gadget_a.attachments)
     if len(gadget_b.attachments) != k:
-        raise AttachmentMismatch(
+        raise InputError(
             f"{k} attachments versus {len(gadget_b.attachments)}"
         )
     rows = []

@@ -13,11 +13,13 @@ from typing import NamedTuple
 
 from .bounds import EQUAL, LESS, compare, p_bound, q_bound
 from .counting import count_forests
-from .errors import CorruptRecord, InputError, IoError, ViolationFound
+from .errors import CheckFailed, CorruptRecord, InputError, IoError
 from .families import family_levels
 from .multigraph import canonical_key
 from .named import catalog_entry
 
+# a stored key is canon's serialization: a change to it, as to a field,
+# bumps this, so a resume skips the old lines with a warning and recounts
 RECORD_VERSION = 1
 
 # degree set, family tag, bound, and the known exceptions with their orders
@@ -164,7 +166,7 @@ def run_store_resume(store, family=None):
 def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     """Check the bound on every family graph of order 3..n_max.
 
-    Returns a SweepSummary; raises ViolationFound when the violating
+    Returns a SweepSummary; raises CheckFailed when the violating
     graphs are not exactly the known exceptional ones in range.
     """
     import logging
@@ -224,7 +226,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
         elif seen != LESS:
             trouble[key] = "%s expected to violate but compared %s" % (name, seen)
     if trouble:
-        raise ViolationFound("; ".join(trouble.values()), keys=tuple(trouble))
+        raise CheckFailed("; ".join(trouble.values()), keys=tuple(trouble))
 
     return SweepSummary(
         theorem, family, n_max, checked, skipped,

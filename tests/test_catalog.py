@@ -16,7 +16,7 @@ from forestry import (
 )
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
 from forestry.cli import main
-from forestry.errors import CatalogMismatch, InputError
+from forestry.errors import CheckFailed, InputError
 from forestry.multigraph import degree_counts
 from forestry.named import _check
 
@@ -168,10 +168,10 @@ def test_tree_counts_are_positive_and_below_forest_counts():
 def test_tampered_entries_are_rejected():
     good = catalog_entry("K4")
     bad_count = CatalogEntry(good.name, good.summary, good.graph, 39, True)
-    with pytest.raises(CatalogMismatch):
+    with pytest.raises(CheckFailed, match="^K4: counted 38 forests, catalog says 39$"):
         _check(bad_count)
     bad_verdict = CatalogEntry(good.name, good.summary, good.graph, 38, False)
-    with pytest.raises(CatalogMismatch):
+    with pytest.raises(CheckFailed, match="^K4: bound verdict flipped$"):
         _check(bad_verdict)
     _check(CatalogEntry(good.name, good.summary, good.graph, 38, True))
 
@@ -208,9 +208,10 @@ def test_a_corrupt_row_fails_only_the_commands_that_use_it(fresh, monkeypatch):
     rows = [r[:4] + (r[4] + 1,) + r[5:] if r[0] == "Z3" else r for r in named._RAW]
     monkeypatch.setattr(named, "_RAW", rows)
     assert catalog_entry("K4").forests == 38
-    with pytest.raises(CatalogMismatch):
+    mismatch = "^Z3: counted 56101 forests, catalog says 56102$"
+    with pytest.raises(CheckFailed, match=mismatch):
         catalog_entry("Z3")
-    with pytest.raises(CatalogMismatch):
+    with pytest.raises(CheckFailed, match=mismatch):
         catalog()
 
 

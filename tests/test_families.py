@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from forestry import canonical_key, catalog_entry, from_edge_list, is_connected
-from forestry.errors import CapExceeded
+from forestry.errors import InputError
 from forestry.families import enumerate_family, family_levels
 
 from oracles import complete_graph, cycle_graph, reference_family_levels
@@ -153,7 +153,7 @@ def test_guards():
         list(enumerate_family(4, {2, 5}))
     with pytest.raises(ValueError):
         list(enumerate_family(2, {2, 3}))
-    with pytest.raises(CapExceeded, match="^order 13 exceeds the cap of 12$"):
+    with pytest.raises(InputError, match="^order 13 exceeds the cap of 12$"):
         list(enumerate_family(13, {2, 3}))
-    with pytest.raises(CapExceeded, match="^order 10 exceeds the cap of 9$"):
+    with pytest.raises(InputError, match="^order 10 exceeds the cap of 9$"):
         list(enumerate_family(10, {2, 3, 4}))

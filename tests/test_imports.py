@@ -108,10 +108,14 @@ def test_every_defaulted_parameter_has_a_caller():
 
 # (module, function) of the two raises that report a defect, not bad input
 DEFECT_SITES = [("counting.py", "insert"), ("rings.py", "ring_family")]
+# one class per outcome: InputError exits 2, CheckFailed exits 1, the run
+# store skips a CorruptRecord line
+OUTCOMES = ["ForestryError", "InputError", "CheckFailed", "IoError", "CorruptRecord"]
+SRC = ROOT / "src" / "forestry"
 
 
-def _stdlib_raises(path):
-    """(file, enclosing function) of each `raise ValueError` or `raise KeyError`."""
+def _raises(path):
+    """(file, enclosing function, class) of each `raise` that names a class."""
     found = []
 
     def visit(node, where):
@@ -121,21 +125,40 @@ def _stdlib_raises(path):
                 continue
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = getattr(child.exc, "func", child.exc)
-                if getattr(exc, "id", None) in ("ValueError", "KeyError"):
-                    found.append((path.name, where))
+                found.append((path.name, where, getattr(exc, "id", None)))
             visit(child, where)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), None)
     return found
 
 
+def _src_raises():
+    return sorted(site for path in sorted(SRC.glob("*.py")) for site in _raises(path))
+
+
 def test_every_refusal_is_a_forestry_error():
     # the CLI maps only ForestryError to exit 2, so a stdlib error raised on
     # purpose would print a traceback; only the defect reports may do that
-    files = sorted((ROOT / "src" / "forestry").glob("*.py"))
-    assert sorted(site for path in files for site in _stdlib_raises(path)) == DEFECT_SITES
-    cli_names = _names_used(ROOT / "src" / "forestry" / "cli.py")
+    stdlib = [(f, fn) for f, fn, name in _src_raises() if name in ("ValueError", "KeyError")]
+    assert stdlib == DEFECT_SITES
+    cli_names = _names_used(SRC / "cli.py")
     assert cli_names.isdisjoint({"ValueError", "KeyError", "_resolve_catalog"})
+
+
+def test_errors_defines_only_the_five_outcomes():
+    # a class or an alias beside the five would be a second name for an exit code
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    defined = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    defined += [t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets]
+    assert defined == OUTCOMES, f"besides the five: {sorted(set(defined) - set(OUTCOMES))}"
+
+
+def test_every_raise_names_one_of_the_five_outcomes():
+    others = [site for site in _src_raises() if site[2] not in OUTCOMES]
+    # the module __getattr__ protocol asks for AttributeError
+    allowed = [("__init__.py", "__getattr__", "AttributeError")]
+    allowed += [(f, fn, "ValueError") for f, fn in DEFECT_SITES]
+    assert others == allowed, f"raised besides the five: {sorted(set(others) - set(allowed))}"
 
 
 def _writes_output(node):

@@ -13,7 +13,7 @@ from forestry import (
     from_edge_list,
     is_connected,
 )
-from forestry.errors import CapExceeded, OddDegree
+from forestry.errors import InputError
 from forestry.lifts import (
     LiftPlan,
     _partitions,
@@ -103,7 +103,7 @@ def test_feasibility_builds_no_graph(monkeypatch):
 
 
 def test_feasible_multigraph_odd_degree():
-    with pytest.raises(OddDegree):
+    with pytest.raises(InputError, match="^vertex 0 has odd degree 1, lifts need degree 2m$"):
         lift_feasible_multigraph(path_graph(3), 0)
 
 
@@ -306,9 +306,9 @@ def test_constant_witnesses_are_the_small_cycles():
 
 
 def test_constant_guards():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(InputError, match=r"^m = 0 is outside 1\.\.5$"):
         lift_constant(0)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(InputError, match=r"^m = 6 is outside 1\.\.5$"):
         lift_constant(6)
     assert lift_constant(5).value == Fraction(40, 7)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from forestry import (
     from_edge_list,
     is_connected,
 )
-from forestry.errors import EdgeAbsent, LoopRejected, VertexOutOfRange
+from forestry.errors import InputError
 from forestry.multigraph import _components, _derive
 
 from oracles import (
@@ -41,33 +41,33 @@ def test_from_edge_list_accumulates_parallel_copies():
 
 
 def test_from_edge_list_rejects_loops_and_bad_vertices():
-    with pytest.raises(LoopRejected):
+    with pytest.raises(InputError, match="^loop at vertex 1 rejected$"):
         from_edge_list(3, [(1, 1)])
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(InputError, match=r"^edge \(0, 3\) out of range for n=3$"):
         from_edge_list(3, [(0, 3)])
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(InputError, match="^vertex count -1 must be a nonnegative int$"):
         from_edge_list(-1, [])
 
 
 @pytest.mark.parametrize(
-    "build, bad",
+    "build, message",
     [
-        (lambda: from_edge_list(3, [(0, 1, 2)]), "(0, 1, 2)"),
-        (lambda: from_edge_list(3, [(0,)]), "(0,)"),
-        (lambda: from_edge_list(3, [5]), "5"),
-        (lambda: from_edge_list(3, [(0, 1), None]), "None"),
-        (lambda: MultiGraph(2.5), "2.5"),
-        (lambda: MultiGraph("3"), "'3'"),
-        (lambda: MultiGraph(None), "None"),
-        (lambda: MultiGraph(True), "True"),
-        (lambda: from_edge_list(True, []), "True"),
-        (lambda: from_edge_list(3, [(True, 2)]), "(True, 2)"),
+        (lambda: from_edge_list(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a pair of vertices"),
+        (lambda: from_edge_list(3, [(0,)]), "edge (0,) is not a pair of vertices"),
+        (lambda: from_edge_list(3, [5]), "edge 5 is not a pair of vertices"),
+        (lambda: from_edge_list(3, [(0, 1), None]), "edge None is not a pair of vertices"),
+        (lambda: MultiGraph(2.5), "vertex count 2.5 must be a nonnegative int"),
+        (lambda: MultiGraph("3"), "vertex count '3' must be a nonnegative int"),
+        (lambda: MultiGraph(None), "vertex count None must be a nonnegative int"),
+        (lambda: MultiGraph(True), "vertex count True must be a nonnegative int"),
+        (lambda: from_edge_list(True, []), "vertex count True must be a nonnegative int"),
+        (lambda: from_edge_list(3, [(True, 2)]), "edge (True, 2) has non-integer endpoint"),
     ],
     ids=["triple", "single", "int", "none", "float-n", "str-n", "none-n", "bool-n",
          "bool-edge-list-n", "bool-endpoint"],
 )
-def test_malformed_constructor_input_is_a_graph_error(build, bad):
-    with pytest.raises(VertexOutOfRange, match=re.escape(bad)):
+def test_malformed_constructor_input_is_a_graph_error(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         build()
 
 
@@ -84,9 +84,9 @@ def test_the_constructor_takes_only_a_vertex_count():
 
 def test_a_bool_is_not_a_vertex():
     g = cycle_graph(3)
-    with pytest.raises(VertexOutOfRange, match="True"):
+    with pytest.raises(InputError, match=r"^vertex True not in 0\.\.2$"):
         g.degree(True)
-    with pytest.raises(VertexOutOfRange, match="False"):
+    with pytest.raises(InputError, match=r"^vertex False not in 0\.\.2$"):
         contract_set(g, [False, True])
 
 
@@ -107,7 +107,7 @@ def test_contract_edge_k4_example():
 
 def test_contract_edge_requires_the_edge():
     g = from_edge_list(3, [(0, 1)])
-    with pytest.raises(EdgeAbsent):
+    with pytest.raises(InputError, match="^no edge between 0 and 2 to contract$"):
         contract_edge(g, 0, 2)
 
 
@@ -146,7 +146,7 @@ def test_delete_edge_removes_single_copy():
     g = from_edge_list(2, [(0, 1), (0, 1)])
     h = delete_edge(g, 0, 1)
     assert h.multiplicity(0, 1) == 1
-    with pytest.raises(EdgeAbsent):
+    with pytest.raises(InputError, match="^no edge between 0 and 1$"):
         delete_edge(delete_edge(h, 0, 1), 0, 1)
 
 

@@ -5,8 +5,9 @@ import re
 import pytest
 
 from forestry import canonical_key, catalog_entry
-from forestry.errors import CorruptRecord, IoError, ViolationFound
+from forestry.errors import CheckFailed, CorruptRecord, IoError
 from forestry.sweep import (
+    RECORD_VERSION,
     THEOREMS,
     SweepRecord,
     parse_record,
@@ -117,9 +118,30 @@ def test_resume_raises_on_a_stored_unexpected_violation(tmp_path):
         for r in records
     ]
     store.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ViolationFound) as err:
+    stored = f"^unexpected violation at n=4 key={key_of('K4-e').hex()}$"
+    with pytest.raises(CheckFailed, match=stored) as err:
         sweep_theorem("T1", 4, store=store, resume=True)
     assert err.value.keys == (key_of("K4-e"),)
+
+
+def test_a_store_of_another_version_is_recounted(tmp_path, caplog):
+    # its keys may come from another canon serialization, so none is
+    # trusted, not even a verdict that would hide K4's violation
+    store = tmp_path / "t1.jsonl"
+    sweep_theorem("T1", 6, store=store)
+    lines = [
+        json.dumps({**json.loads(line), "v": RECORD_VERSION + 1, "verdict": "GE"})
+        for line in store.read_text().splitlines()
+    ]
+    store.write_text("\n".join(lines) + "\n")
+    with caplog.at_level("WARNING", logger="forestry.sweep"):
+        summary = sweep_theorem("T1", 6, store=store, resume=True)
+    assert (summary.checked, summary.skipped) == (19, 0)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == len(lines) == 19
+    version = f"unknown record version {RECORD_VERSION + 1}"
+    assert all(w == f"{store} line {i} skipped: {version}" for i, w in enumerate(warnings, 1))
+    assert summary.violations == ((4, key_of("K4")),)
 
 
 def test_resume_is_scoped_by_family(tmp_path):
@@ -245,12 +267,13 @@ def test_missing_expected_offender_is_reported(monkeypatch):
     patched = dict(sweep_mod.THEOREMS)
     patched["T1"] = (patched["T1"][0], "23", patched["T1"][2], ())
     monkeypatch.setattr(sweep_mod, "THEOREMS", patched)
-    with pytest.raises(ViolationFound) as err:
+    unexpected = f"^unexpected violation at n=4 key={key_of('K4').hex()}$"
+    with pytest.raises(CheckFailed, match=unexpected) as err:
         sweep_theorem("T1", 4)
     assert key_of("K4") in err.value.keys
 
     # pretend K4-e should violate: an equality is then a counting bug
     patched["T1"] = (patched["T1"][0], "23", patched["T1"][2], ((4, "K4-e"), (4, "K4")))
-    with pytest.raises(ViolationFound) as err:
+    with pytest.raises(CheckFailed, match="^K4-e expected to violate but compared EQ$") as err:
         sweep_theorem("T1", 4)
     assert key_of("K4-e") in err.value.keys
