@@ -121,14 +121,12 @@ def _cmd_bound(ns):
 
 def _cmd_verify(ns):
     from .families import DEFAULT_FAMILY_CAPS
-    from .multigraph import canonical_key
-    from .named import catalog
+    from .named import catalog_names
     from .sweep import sweep_theorem
 
     n_max = ns.max_n or DEFAULT_FAMILY_CAPS[_degree_set(ns)]
     summary = sweep_theorem("T" + ns.theorem, n_max, store=ns.store, resume=ns.resume)
-    # a graph with two catalog names goes by the first
-    names = {canonical_key(e.graph): e.name for e in reversed(catalog())}
+    names = catalog_names()
     payload = {
         "theorem": ns.theorem,
         "family": summary.family,
@@ -558,6 +556,13 @@ def entry():
     # a reader that stops early, as in `forestry catalog | head`, ends us quietly
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # a count can pass the 4300 digits that str() of an int allows by
+    # default (2^14999 for a 15000-vertex path); the limit belongs to the
+    # process, so it is lifted where the process starts and a caller of
+    # main keeps its own
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        set_digits(0)
     sys.exit(main())
 
 

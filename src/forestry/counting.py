@@ -12,6 +12,15 @@ edge; the count is the sum of the final weights, so disconnected input
 needs no special case.  The cost grows with the Bell number of the
 widest frontier, which the greedy vertex order keeps small.
 
+What one join does to one state depends on nothing but the state, the
+position p that takes the edge and whether p leaves: the other end q
+is always the last position, the vertex just entered, and the edge's
+weight only scales a count.  So a step worked out for one graph holds
+for every graph, and _join keeps each step in one table for the whole
+process, keyed by (q, p, leaves) and then by the state.  It keeps only
+frontiers of up to TABLE_WIDTH vertices, so the table stays below 3116
+steps however dense the input; a wider state is worked out each time.
+
 count_trees is the fraction-free (Bareiss) determinant of the reduced
 Laplacian, eliminating in the reverse of the same order so that fill-in
 stays between vertices of one frontier.
@@ -33,6 +42,12 @@ MAX_STATES = 2**18
 # count_forests_bruteforce refuses more edges than this: it visits every
 # acyclic edge subset, and a tree with this many edges already has 2^24.
 BRUTE_FORCE_CAP = 24
+# _STEPS holds frontiers of at most this many vertices.  A width-w frontier
+# has Bell(w) states and fewer than 2w (p, leaves) pairs, so the table never
+# holds more than the sum over w <= TABLE_WIDTH of 2w Bell(w) steps: 3116
+# for a width of 6, 15394 for 7.
+TABLE_WIDTH = 6
+_STEPS = {}  # (q, p, leaves) -> {state: (merged state or None, kept state)}
 
 
 class MemoCache:
@@ -165,20 +180,30 @@ def _relabel(s):
 def _join(states, p, q, t, leaves):
     """Take the weight-t edge between frontier positions p and q, or not.
 
-    With leaves set, position p leaves the frontier afterwards.
+    With leaves set, position p leaves the frontier afterwards.  q is the
+    last position, so it gives the width: up to TABLE_WIDTH, each state's
+    step is read from _STEPS, or worked out and kept there.
     """
+    row = _STEPS.setdefault((q, p, leaves), {}) if q < TABLE_WIDTH else None
     out = {}
     for s, c in states.items():
-        a, b = s[p], s[q]
-        if a != b:
-            lo, hi = (a, b) if a < b else (b, a)
-            m = tuple([lo if x == hi else x - (x > hi) for x in s])
-            if leaves:
-                m = _relabel(m[:p] + m[p + 1 :])
+        step = None if row is None else row.get(s)
+        if step is None:
+            a, b = s[p], s[q]
+            m = None
+            if a != b:
+                lo, hi = (a, b) if a < b else (b, a)
+                m = tuple([lo if x == hi else x - (x > hi) for x in s])
+                if leaves:
+                    m = _relabel(m[:p] + m[p + 1 :])
+            k = _relabel(s[:p] + s[p + 1 :]) if leaves else s
+            if row is not None:
+                row[s] = m, k
+        else:
+            m, k = step
+        if m is not None:
             out[m] = out.get(m, 0) + c * t
-        if leaves:
-            s = _relabel(s[:p] + s[p + 1 :])
-        out[s] = out.get(s, 0) + c
+        out[k] = out.get(k, 0) + c
     if len(out) > MAX_STATES:
         raise InputError(f"over {MAX_STATES} frontier states: the graph is too dense to count")
     return out

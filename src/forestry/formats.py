@@ -20,8 +20,10 @@ GRAPH6_HEADER = ">>graph6<<"
 # a graph holds one neighbour dict per vertex, so a header alone could
 # otherwise ask for any amount of memory
 MAX_VERTICES = 100_000
-# ASCII decimal only: int() would also read "1_1", "+0" and other scripts' digits
-_INTEGER = re.compile(r"-?[0-9]+")
+# ASCII decimal only: int() would also read "1_1", "+0" and other scripts'
+# digits.  At most 18 digits, which is past every count and id the format
+# accepts, so int() never meets a token over its 4300-digit limit
+_INTEGER = re.compile(r"-?[0-9]{1,18}")
 
 
 def _check_order(n):

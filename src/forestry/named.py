@@ -3,7 +3,8 @@
 Each entry stores only what cannot be derived: its name, a summary, the
 graph, its forest count and whether the degree-{2, 3, 4} bound holds.
 Each entry is built from its edge list and re-counted the first time it
-is used, and only that entry; catalog() checks all 28.  A disagreement
+is used, and only that entry; catalog() checks all 28, and
+catalog_names(), which only names graphs, checks none.  A disagreement
 with the stored count or verdict raises CheckFailed instead of
 letting a bad transcription leak into downstream checks.
 """
@@ -13,7 +14,7 @@ from typing import NamedTuple
 from .bounds import LESS, compare, degree_profile, q_bound
 from .counting import count_forests
 from .errors import CheckFailed, InputError
-from .multigraph import MultiGraph, from_edge_list
+from .multigraph import MultiGraph, canonical_key, from_edge_list
 
 
 class CatalogEntry(NamedTuple):
@@ -368,6 +369,17 @@ def _check(entry):
 def catalog():
     """All named graphs in table order, each verified on first use."""
     return [catalog_entry(row[0]) for row in _RAW]
+
+
+def catalog_names():
+    """Each named graph's canonical key -> its name, the first of two names.
+
+    Naming a graph needs no forest count, so no entry is checked here.
+    """
+    names = {}
+    for name, _, n, edges, _, _ in _RAW:
+        names.setdefault(canonical_key(from_edge_list(n, edges)), name)
+    return names
 
 
 def catalog_entry(name):

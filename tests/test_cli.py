@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import io
 import json
@@ -165,6 +166,22 @@ def test_verify_store_then_resume(cli, tmp_path):
     )
     assert rc == 0
     assert "checked 0  skipped 15" in out
+
+
+@pytest.mark.parametrize("theorem, exceptions", [("1", ["K4"]), ("2", ["K5", "K6-"])])
+def test_verify_checks_no_catalog_entry_beyond_the_sweeps_exceptions(
+    cli, monkeypatch, theorem, exceptions
+):
+    checked = []
+    check = named._check
+    monkeypatch.setattr(named, "_CHECKED", {})
+    monkeypatch.setattr(named, "_check", lambda e: (checked.append(e.name), check(e)))
+    rc, out, _ = cli("verify", "--theorem", theorem, "--max-n", "6")
+    assert rc == 0
+    assert sorted(checked) == exceptions
+    # the outcomes are still named: the exceptions and K4-e or K5-e
+    assert "violations %d: %s (n=" % (len(exceptions), exceptions[0]) in out
+    assert "-e (n=" in out
 
 
 def test_verify_resume_needs_a_store(cli):
@@ -527,6 +544,41 @@ def test_only_ascii_decimal_integers_are_read(cli, stdin, line):
     rc, out, err = cli("count", "--output", "json", stdin=stdin)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: {line} must be two integers, got ")
+
+
+def test_a_5001_digit_token_is_one_error_line(cli):
+    rc, out, err = cli("count", stdin="2 1\n0 " + "1" * 5001 + "\n")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: edge line must be two integers, got ")
+    assert err.count("\n") == 1
+
+
+def test_a_count_past_4300_digits_prints():
+    # 2^14999 forests, 4516 digits: past the int-to-str limit that
+    # CPython sets by default, which the console entry lifts
+    path = "15000 14999\n" + "".join(f"{i} {i + 1}\n" for i in range(14999))
+    text, js = (
+        subprocess.run(
+            [sys.executable, "-m", "forestry.cli", "count", *argv],
+            input=path, capture_output=True, text=True, timeout=120,
+        )
+        for argv in ((), ("--output", "json"))
+    )
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        forests = str(decimal.Decimal(2) ** 14999)
+    assert (text.returncode, text.stdout, text.stderr) == (0, forests + "\n", "")
+    assert (js.returncode, js.stderr) == (0, "")
+    assert json.loads(js.stdout) == {
+        "v": 1, "n": 15000, "m": 14999, "forests": forests, "trees": "1"
+    }
+
+
+def test_main_leaves_the_int_to_str_limit_to_its_caller(cli):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert cli("count", "--catalog", "K4")[0] == 0
+    assert limit() == before
 
 
 def test_an_undecodable_input_file_is_an_input_error(cli, tmp_path):

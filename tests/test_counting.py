@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -37,6 +38,20 @@ from oracles import (
 
 def complete_bipartite(a, b):
     return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def grid(a, b):
+    right = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    down = [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return from_edge_list(a * b, right + down)
+
+
+def bell(n):
+    """Number of partitions of an n-set."""
+    b = [1]
+    for k in range(n):
+        b.append(sum(math.comb(k, i) * b[i] for i in range(k + 1)))
+    return b[n]
 
 
 # -- closed forms ------------------------------------------------------
@@ -409,3 +424,31 @@ def test_trees_match_kirchhoff_past_the_subset_oracle(seed):
     # enough edges that Bareiss scales entries lazily across several pivots
     g = rand_multigraph(random.Random(seed), max_n=12, max_edges=40, connected=True)
     assert count_trees(g) == kirchhoff_trees(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), multigraphs())
+def test_a_warm_step_table_counts_as_an_empty_one(g, h):
+    counting._STEPS.clear()
+    cold_g, warm_h = count_forests(g), count_forests(h)
+    counting._STEPS.clear()
+    cold_h, warm_g = count_forests(h), count_forests(g)
+    assert cold_g == warm_g == forests_by_subsets(g)
+    assert cold_h == warm_h == forests_by_subsets(h)
+
+
+def test_the_step_table_keeps_to_its_width_and_size():
+    def most_steps(width):
+        return sum(2 * w * bell(w) for w in range(1, width + 1))
+
+    assert [bell(w) for w in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    assert (most_steps(6), most_steps(7)) == (3116, 15394)  # as counting.py states
+    width = counting.TABLE_WIDTH
+    counting._STEPS.clear()
+    # K10's frontier grows past the width; the ladder's stays narrow for 400 vertices
+    for g in (complete_graph(10), grid(2, 200), grid(7, 7)):
+        count_forests(g)
+    states = [s for row in counting._STEPS.values() for s in row]
+    assert max(map(len, states)) == width
+    assert all(q < width for q, _, _ in counting._STEPS)
+    assert len(states) <= most_steps(width)

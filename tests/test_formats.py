@@ -72,6 +72,26 @@ def test_edge_list_integers_are_ascii_decimal(text, what):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("1" * 5001 + " 0\n", "header"),
+        ("2 1\n0 " + "1" * 5001 + "\n", "edge line"),
+        ("0" * 19 + " 0\n", "header"),
+    ],
+    ids=["5001-digit header", "5001-digit edge line", "19-digit header"],
+)
+def test_a_token_of_more_than_18_digits_is_refused(text, what):
+    # past 4300 digits int() would raise a plain ValueError
+    with pytest.raises(InputError, match=f"^{what} must be two integers"):
+        parse_edge_list(text)
+
+
+def test_an_18_digit_token_keeps_its_range_message():
+    with pytest.raises(InputError, match="above the input limit"):
+        parse_edge_list("9" * 18 + " 0\n")
+
+
 def test_a_negative_integer_keeps_its_range_message():
     with pytest.raises(InputError, match="must be nonnegative"):
         parse_edge_list("-1 0\n")
