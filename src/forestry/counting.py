@@ -12,6 +12,13 @@ edge; the count is the sum of the final weights, so disconnected input
 needs no special case.  The cost grows with the Bell number of the
 widest frontier, which the greedy vertex order keeps small.
 
+The order and each vertex's steps come from one pass over the
+adjacency, _plan, which keeps for every vertex the number of its
+neighbours still to enter.  When v enters, an entered neighbour u
+leaves on edge uv exactly when v was the last of them, so that u's
+number drops to 0; v leaves as soon as it enters exactly when its own
+number is already 0.
+
 What one join does to one state depends on nothing but the state, the
 position p that takes the edge and whether p leaves: the other end q
 is always the last position, the vertex just entered, and the edge's
@@ -104,69 +111,81 @@ def _cached(cache, kind, g, count):
     return got
 
 
-def _vertex_order(adj):
-    """Each next vertex is a neighbour of the frontier that leaves it smallest.
+def _plan(adj):
+    """Yield (v, earlier, leaves) for each vertex v in the greedy order.
 
-    With an empty frontier the next component starts at a vertex of
-    least degree.  Ties go to fewer unentered neighbours, then the
-    lower id.  The candidates sit in a heap that gets a fresh entry
-    whenever a cost changes.  A cost only falls, so a vertex's newest
-    entry comes up before its older ones, which are skipped as entered.
+    earlier holds a (u, u leaves on edge uv) pair for each neighbour u
+    entered before v, the leaving ones first so that the state table
+    shrinks sooner, and each group in entry order; leaves says whether
+    v leaves as soon as it enters.
+
+    Each next vertex is a neighbour of the frontier that leaves it
+    smallest.  With an empty frontier the next component starts at a
+    vertex of least degree.  Ties go to fewer unentered neighbours,
+    then the lower id.  The candidates sit in a heap that gets a fresh
+    entry whenever a cost changes.  A cost only falls, so a vertex's
+    newest entry comes up before its older ones, which are skipped as
+    entered.
     """
     n = len(adj)
     waiting = [len(a) for a in adj]  # neighbours not yet entered
+    rest = [sum(a) for a in adj]  # sum of those neighbours: the last one, once one is left
     leaving = [0] * n  # entered neighbours whose last unentered neighbour this is
-    entered = [False] * n
-    starts = iter(sorted(range(n), key=lambda v: (len(adj[v]), v)))
+    rank = [n] * n  # entry position; n while unentered
+    starts = iter(sorted(range(n), key=waiting.__getitem__))
     heap = []
-    order = []
-
-    def cost(v):
-        return ((waiting[v] > 0) - leaving[v], waiting[v], v)
-
-    def last_waiting(u):
-        # entered u has one unentered neighbour left, which takes u off the frontier
-        z = next(w for w in adj[u] if not entered[w])
-        leaving[z] += 1
-        return z
-
-    while len(order) < n:
-        while heap and entered[heap[0][2]]:
+    for i in range(n):
+        while heap and rank[heap[0][2]] < n:
             heappop(heap)
-        v = heappop(heap)[2] if heap else next(s for s in starts if not entered[s])
-        entered[v] = True
-        order.append(v)
-        fresh = [w for w in adj[v] if not entered[w]]
+        v = heappop(heap)[2] if heap else next(s for s in starts if rank[s] == n)
+        rank[v] = i
+        fresh = []
+        gone = []
+        kept = []
         if waiting[v] == 1:
-            last_waiting(v)
+            # v's one unentered neighbour takes it off the frontier
+            leaving[rest[v]] += 1
         for w in adj[v]:
-            waiting[w] -= 1
-            if entered[w] and waiting[w] == 1:
-                fresh.append(last_waiting(w))
+            k = waiting[w] = waiting[w] - 1
+            rest[w] -= v
+            if rank[w] == n:
+                fresh.append(w)
+            elif k == 0:  # v was w's last unentered neighbour
+                gone.append(w)
+            else:
+                kept.append(w)
+                if k == 1:
+                    z = rest[w]
+                    leaving[z] += 1
+                    fresh.append(z)
         for w in fresh:
-            heappush(heap, cost(w))
-    return order
+            heappush(heap, ((waiting[w] > 0) - leaving[w], waiting[w], w))
+        gone.sort(key=rank.__getitem__)
+        kept.sort(key=rank.__getitem__)
+        yield v, [(u, True) for u in gone] + [(u, False) for u in kept], waiting[v] == 0
+
+
+def _vertex_order(adj):
+    """The greedy order alone."""
+    return [v for v, _, _ in _plan(adj)]
 
 
 def _forests(g):
     adj = g._adj
-    order = _vertex_order(adj)
-    rank = {v: i for i, v in enumerate(order)}
-    last = [max([rank[v]] + [rank[w] for w in adj[v]]) for v in range(g.n)]
     frontier = []
     states = {(): 1}
-    for i, v in enumerate(order):
+    for v, earlier, leaves_now in _plan(adj):
         frontier.append(v)
+        q = len(frontier) - 1
         states = {s + (max(s) + 1 if s else 0,): c for s, c in states.items()}
-        # edges whose earlier end leaves with them go first: the table shrinks sooner
-        for u in sorted((u for u in adj[v] if rank[u] < i), key=lambda u: (last[u] != i, rank[u])):
-            leaves = last[u] == i
+        for u, leaves in earlier:
             p = frontier.index(u)
-            states = _join(states, p, frontier.index(v), adj[v][u], leaves)
+            states = _join(states, p, q, adj[v][u], leaves)
             if leaves:
                 del frontier[p]
-        if last[v] == i:  # v leaves too: an edge from v to itself joins no blocks
-            states = _join(states, len(frontier) - 1, len(frontier) - 1, 0, True)
+                q -= 1
+        if leaves_now:  # v leaves too: an edge from v to itself joins no blocks
+            states = _join(states, q, q, 0, True)
             frontier.pop()
     return sum(states.values())
 

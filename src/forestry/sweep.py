@@ -59,19 +59,20 @@ def _stamp():
 def record_line(record):
     import json
 
+    # the keys are written in sorted order; sort_keys=True would build a
+    # new encoder on every call
     return json.dumps(
         {
-            "v": RECORD_VERSION,
-            "family": record.family,
-            "n": record.n,
-            "key": record.key.hex(),
-            "forests": str(record.forests),
             "bound": record.bound_text,
-            "verdict": record.verdict,
             "exception": record.exception,
+            "family": record.family,
+            "forests": str(record.forests),
+            "key": record.key.hex(),
+            "n": record.n,
             "ts": record.ts,
-        },
-        sort_keys=True,
+            "v": RECORD_VERSION,
+            "verdict": record.verdict,
+        }
     )
 
 

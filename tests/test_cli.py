@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import hashlib
 import io
@@ -7,13 +8,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forestry import canonical_key, enumerate_family, format_graph6, named
 from forestry.cli import main
 from forestry.counting import BRUTE_FORCE_CAP
 from forestry.errors import ForestryError
 from forestry.families import DEFAULT_FAMILY_CAPS
-from forestry.formats import parse_graph
+from forestry.formats import GRAPH6_HEADER, MAX_VERTICES, parse_graph
 from forestry.named import catalog_entry
 from forestry.rings import TABLE2_ROWS
 from forestry.sweep import THEOREMS, SweepSummary
@@ -182,6 +185,26 @@ def test_verify_checks_no_catalog_entry_beyond_the_sweeps_exceptions(
     # the outcomes are still named: the exceptions and K4-e or K5-e
     assert "violations %d: %s (n=" % (len(exceptions), exceptions[0]) in out
     assert "-e (n=" in out
+
+
+@pytest.mark.parametrize(
+    "theorem, max_n, text",
+    [
+        ("1", "3", "theorem 1  family 23  max n 3\nchecked 1  skipped 0\n"),
+        ("2", "4", "theorem 2  family 234  max n 4\nchecked 4  skipped 0\n"),
+    ],
+    ids=["T1", "T2"],
+)
+def test_verify_keys_the_catalog_only_to_name_an_outcome(cli, monkeypatch, theorem, max_n, text):
+    def refuse():
+        raise AssertionError("the catalog was keyed with nothing to name")
+
+    monkeypatch.setattr(named, "catalog_names", refuse)
+    argv = ("verify", "--theorem", theorem, "--max-n", max_n)
+    assert cli(*argv) == (0, text + "violations 0\nequalities 0\n", "")
+    rc, out, err = cli(*argv, "--output", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["violations"] == json.loads(out)["equalities"] == []
 
 
 def test_verify_resume_needs_a_store(cli):
@@ -551,6 +574,82 @@ def test_a_5001_digit_token_is_one_error_line(cli):
     assert (rc, out) == (2, "")
     assert err.startswith("error: edge line must be two integers, got ")
     assert err.count("\n") == 1
+
+
+# numbers at the edges of what the edge-list reader accepts: the order
+# limit and one past it, 18 and 19 digits, negative, and digits that are
+# not ASCII
+_EXTREME = st.one_of(
+    st.sampled_from([MAX_VERTICES, MAX_VERTICES + 1]).map(str),
+    st.integers(10**17, 10**18 - 1).map(str),
+    st.integers(10**18, 10**19 - 1).map(str),
+    st.integers(-(10**19), -1).map(str),
+    st.text(st.characters(categories=["Nd"], exclude_characters="0123456789"),
+            min_size=1, max_size=3),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A small edge list with up to two of its numbers swapped for extreme ones."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(0, max(n - 1, 0))
+    body = draw(st.lists(st.tuples(ends, ends), max_size=5))
+    tokens = [str(n), str(len(body))] + [str(x) for e in body for x in e]
+    for i in draw(st.sets(st.integers(0, len(tokens) - 1), max_size=2)):
+        tokens[i] = draw(_EXTREME)
+    if tokens[0] == str(MAX_VERTICES) and tokens[1] == str(len(body)):
+        # what is accepted stays small; the edgeless graph at MAX_VERTICES
+        # is an explicit example
+        tokens[1] = str(len(body) + 1)
+    return "".join(f"{tokens[i]} {tokens[i + 1]}\n" for i in range(0, len(tokens), 2))
+
+
+def _graph6_order(n):
+    """graph6's prefix for an order of n vertices: 1, 4 or 8 characters."""
+    if n <= 62:
+        return chr(63 + n)
+    if n <= 258047:
+        return "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
+    return "~~" + "".join(chr(63 + (n >> k & 63)) for k in (30, 24, 18, 12, 6, 0))
+
+
+@st.composite
+def graph6_texts(draw):
+    big = [MAX_VERTICES, MAX_VERTICES + 1, 2**36 - 1]
+    n = draw(st.one_of(st.integers(0, 7), st.sampled_from(big)))
+    head = _graph6_order(n)
+    head = head[: draw(st.integers(1, len(head)))]  # the order may be cut short
+    need = (n * (n - 1) // 2 + 5) // 6
+    size = draw(st.sampled_from([need - 1, need, need + 1]) if n < 8 else st.integers(0, 4))
+    # a full last character may carry non-zero padding bits
+    body = draw(st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                        min_size=max(size, 0), max_size=max(size, 0)))
+    stray = draw(st.one_of(st.just(""), st.sampled_from(["!", "\u00e9"])))
+    return draw(st.sampled_from(["", GRAPH6_HEADER])) + head + body + stray + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([("count",), ("trees",), ("bound",), ("count", "--output", "json")]),
+    st.one_of(edge_list_texts(), graph6_texts()),
+)
+@example(("count",), f"{MAX_VERTICES} 0\n")
+def test_every_input_ends_in_an_answer_or_one_error_line(argv, text):
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+    finally:
+        sys.stdin = stdin
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert (rc, err) == (0, "")
+        assert out.endswith("\n")
 
 
 def test_a_count_past_4300_digits_prints():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -416,6 +417,39 @@ def test_deleting_an_edge_strictly_reduces_forests():
 def test_vertex_order_matches_the_rescanning_reference(seed):
     g = rand_multigraph(random.Random(seed), max_n=14, max_edges=40)
     assert counting._vertex_order(g._adj) == reference_vertex_order(g._adj)
+
+
+def reference_plan(adj):
+    """The plan as _forests once derived it: ranks, last neighbours and a keyed sort."""
+    order = reference_vertex_order(adj)
+    rank = {v: i for i, v in enumerate(order)}
+    last = [max([rank[v]] + [rank[w] for w in adj[v]]) for v in range(len(adj))]
+    plan = []
+    for i, v in enumerate(order):
+        earlier = sorted((u for u in adj[v] if rank[u] < i), key=lambda u: (last[u] != i, rank[u]))
+        plan.append((v, [(u, last[u] == i) for u in earlier], last[v] == i))
+    return plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        multigraphs(),
+        # larger graphs whose edges arrive in random order, so that no
+        # neighbour dict lists its vertices in entry order by chance
+        st.integers(0, 2**30).map(
+            lambda seed: rand_multigraph(random.Random(seed), max_n=14, max_edges=40)
+        ),
+    )
+)
+def test_the_plan_reads_each_step_off_the_waiting_counts(g):
+    plan = list(counting._plan(g._adj))
+    assert plan == reference_plan(g._adj)
+    # one join per bundle, taken at its later end, and one per vertex that
+    # leaves as it enters
+    with mock.patch.object(counting, "_join", wraps=counting._join) as join:
+        count_forests(g)
+    assert join.call_count == len(list(g.bundles())) + sum(leaves for _, _, leaves in plan)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,11 @@ import logging
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestry import canonical_key, catalog_entry
+from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
 from forestry.errors import CheckFailed, CorruptRecord, IoError
 from forestry.sweep import (
     RECORD_VERSION,
@@ -238,6 +241,37 @@ def test_parse_record_accepts_only_what_record_line_writes(field, damaged):
     assert field in good
     with pytest.raises(CorruptRecord):
         parse_record(good.replace(field, damaged))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(family for _, family, _, _ in THEOREMS.values())),
+    st.integers(0, 10**6),
+    st.binary(max_size=40),
+    st.integers(0, 10**4000),
+    st.builds(BoundExpr, st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+              st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+    st.sampled_from([LESS, EQUAL, GREATER]),
+    st.booleans(),
+    st.text(max_size=30),
+)
+def test_record_line_writes_what_sorted_keys_would(family, n, key, forests, bound, verdict,
+                                                   exception, ts):
+    record = SweepRecord(family, n, key, forests, str(bound), verdict, exception, ts)
+    assert record_line(record) == json.dumps(
+        {
+            "v": RECORD_VERSION,
+            "family": family,
+            "n": n,
+            "key": key.hex(),
+            "forests": str(forests),
+            "bound": str(bound),
+            "verdict": verdict,
+            "exception": exception,
+            "ts": ts,
+        },
+        sort_keys=True,
+    )
 
 
 def test_parse_record_takes_the_family_tags_from_the_theorems(monkeypatch):
