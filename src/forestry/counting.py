@@ -1,6 +1,6 @@
 """Exact spanning-forest and spanning-tree counts, without recursion.
 
-count_forests is a frontier dynamic program over a vertex order (Sekine,
+Both counts are one frontier dynamic program over a vertex order (Sekine,
 Imai & Tani, ISAAC 1995; Kawahara et al., IEICE Trans. E100-A, 2017).
 The frontier holds the entered vertices that still have a neighbour to
 come.  A state, a partition of the frontier into the trees of a partial
@@ -28,9 +28,10 @@ process, keyed by (q, p, leaves) and then by the state.  It keeps only
 frontiers of up to TABLE_WIDTH vertices, so the table stays below 3116
 steps however dense the input; a wider state is worked out each time.
 
-count_trees is the fraction-free (Bareiss) determinant of the reduced
-Laplacian, eliminating in the reverse of the same order so that fill-in
-stays between vertices of one frontier.
+A spanning tree is a spanning forest with one block, so count_trees
+runs the same program on connected input and drops a state once a block
+closes early: p leaves without taking the edge, no other position shares
+its block, and others remain.  Each _STEPS entry keeps that bit as well.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from .multigraph import _identify, contract_set, is_connected
 
 FORESTS = "F"
 TREES = "T"
-# count_forests gives up with InputError once its state table passes this
+# Both counts give up with InputError once their state table passes this
 # many frontier partitions.  A join at most doubles the table, so it never
-# holds more than twice as many.  K11 peaks at 115975 states, K12 at 678570.
+# holds more than twice as many.  Counting forests, K11 peaks at 115975
+# states and K12 at 678570.
 MAX_STATES = 2**18
 # count_forests_bruteforce refuses more edges than this: it visits every
 # acyclic edge subset, and a tree with this many edges already has 2^24.
@@ -54,7 +56,7 @@ BRUTE_FORCE_CAP = 24
 # holds more than the sum over w <= TABLE_WIDTH of 2w Bell(w) steps: 3116
 # for a width of 6, 15394 for 7.
 TABLE_WIDTH = 6
-_STEPS = {}  # (q, p, leaves) -> {state: (merged state or None, kept state)}
+_STEPS = {}  # (q, p, leaves) -> {state: (merged state or None, kept state, closes)}
 
 
 class MemoCache:
@@ -92,21 +94,21 @@ class MemoCache:
 
 def count_forests(g, cache=None):
     """Number of spanning forests of g (exact integer)."""
-    return _cached(cache, FORESTS, g, _forests)
+    return _cached(cache, FORESTS, g)
 
 
 def count_trees(g, cache=None):
-    """Number of spanning trees of g; 0 when g is disconnected."""
-    return _cached(cache, TREES, g, _trees)
+    """Number of spanning trees of g; 0 when g is empty or disconnected."""
+    return _cached(cache, TREES, g)
 
 
-def _cached(cache, kind, g, count):
+def _cached(cache, kind, g):
     if cache is None:
-        return count(g)
+        return _count(g, kind == TREES)
     key = (g.n, tuple(g.bundles()))
     got = cache.lookup(kind, key)
     if got is None:
-        got = count(g)
+        got = _count(g, kind == TREES)
         cache.insert(kind, key, got)
     return got
 
@@ -165,12 +167,9 @@ def _plan(adj):
         yield v, [(u, True) for u in gone] + [(u, False) for u in kept], waiting[v] == 0
 
 
-def _vertex_order(adj):
-    """The greedy order alone."""
-    return [v for v, _, _ in _plan(adj)]
-
-
-def _forests(g):
+def _count(g, trees):
+    if trees and (g.n == 0 or not is_connected(g)):
+        return 0
     adj = g._adj
     frontier = []
     states = {(): 1}
@@ -180,12 +179,12 @@ def _forests(g):
         states = {s + (max(s) + 1 if s else 0,): c for s, c in states.items()}
         for u, leaves in earlier:
             p = frontier.index(u)
-            states = _join(states, p, q, adj[v][u], leaves)
+            states = _join(states, p, q, adj[v][u], leaves, trees)
             if leaves:
                 del frontier[p]
                 q -= 1
         if leaves_now:  # v leaves too: an edge from v to itself joins no blocks
-            states = _join(states, q, q, 0, True)
+            states = _join(states, q, q, 0, True, trees)
             frontier.pop()
     return sum(states.values())
 
@@ -196,12 +195,13 @@ def _relabel(s):
     return tuple([labels.setdefault(x, len(labels)) for x in s])
 
 
-def _join(states, p, q, t, leaves):
+def _join(states, p, q, t, leaves, trees):
     """Take the weight-t edge between frontier positions p and q, or not.
 
-    With leaves set, position p leaves the frontier afterwards.  q is the
-    last position, so it gives the width: up to TABLE_WIDTH, each state's
-    step is read from _STEPS, or worked out and kept there.
+    With leaves set, position p leaves the frontier afterwards; with trees
+    set too, not taking the edge is dropped where that closes p's block.
+    q is the last position, so it gives the width: up to TABLE_WIDTH,
+    each state's step is read from _STEPS, or worked out and kept there.
     """
     row = _STEPS.setdefault((q, p, leaves), {}) if q < TABLE_WIDTH else None
     out = {}
@@ -216,52 +216,17 @@ def _join(states, p, q, t, leaves):
                 if leaves:
                     m = _relabel(m[:p] + m[p + 1 :])
             k = _relabel(s[:p] + s[p + 1 :]) if leaves else s
+            step = m, k, leaves and q > 0 and s.count(a) == 1
             if row is not None:
-                row[s] = m, k
-        else:
-            m, k = step
+                row[s] = step
+        m, k, closes = step
         if m is not None:
             out[m] = out.get(m, 0) + c * t
-        out[k] = out.get(k, 0) + c
+        if not (trees and closes):
+            out[k] = out.get(k, 0) + c
     if len(out) > MAX_STATES:
         raise InputError(f"over {MAX_STATES} frontier states: the graph is too dense to count")
     return out
-
-
-def _trees(g):
-    if g.n == 0 or not is_connected(g):
-        return 0
-    adj = g._adj
-    # eliminating in reverse keeps fill-in inside the frontiers; the
-    # reduced Laplacian drops the first vertex
-    order = _vertex_order(adj)[:0:-1]
-    pos = {v: i for i, v in enumerate(order)}
-    rows = []  # an entry is (value, the step it is at)
-    for v in order:
-        row = {pos[w]: (-t, 0) for w, t in adj[v].items() if w in pos}
-        row[pos[v]] = (sum(adj[v].values()), 0)
-        rows.append(row)
-    # The matrix is symmetric positive definite, so no pivot is zero and
-    # the rows that step k must eliminate are the columns of row k.  An
-    # entry whose column row k lacks would only be scaled by
-    # pivots[k + 1] / pivots[k]; it is scaled when next read instead.
-    pivots = [1]
-
-    def at(entry, k):
-        x, level = entry
-        return x if level == k else x * pivots[k] // pivots[level]
-
-    for k in range(len(rows)):
-        row = {j: at(e, k) for j, e in rows[k].items()}
-        p = row.pop(k)
-        prev = pivots[k]
-        for i in row:
-            r = rows[i]
-            a = at(r.pop(k), k)
-            for j, x in row.items():
-                r[j] = ((at(r[j], k) if j in r else 0) * p - a * x) // prev, k + 1
-        pivots.append(p)
-    return pivots[-1]
 
 
 def count_forests_bruteforce(g):
