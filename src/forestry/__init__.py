@@ -20,12 +20,11 @@ from types import ModuleType as _ModuleType
 # module -> the names the package exports from it
 _EXPORTS = {
     "multigraph": (
-        "MultiGraph", "automorphisms", "canonical_key", "contract_edge", "contract_set",
-        "degree_counts", "delete_edge", "from_edge_list", "is_connected",
+        "MultiGraph", "automorphisms", "canonical_key", "contract_edge", "degree_counts",
+        "delete_edge", "from_edge_list", "identify", "is_connected",
     ),
     "counting": (
-        "MemoCache", "count_forests", "count_forests_bruteforce", "count_forests_separating",
-        "count_trees", "extension_count",
+        "MemoCache", "count_forests", "count_forests_bruteforce", "count_trees",
     ),
     "formats": (
         "format_edge_list", "format_graph6", "parse_edge_list", "parse_graph", "parse_graph6",
@@ -36,8 +35,7 @@ _EXPORTS = {
         "table2_check", "upper_bound_fd",
     ),
     "lifts": (
-        "LiftConstant", "LiftPlan", "enumerate_lifts", "lift_constant",
-        "lift_feasible_multigraph",
+        "LiftConstant", "enumerate_lifts", "lift_constant", "lift_feasible_multigraph",
     ),
     "families": ("enumerate_family", "family_levels"),
     "named": ("CatalogEntry", "catalog", "catalog_entry"),

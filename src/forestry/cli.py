@@ -126,7 +126,7 @@ def _cmd_verify(ns):
 
     n_max = ns.max_n or DEFAULT_FAMILY_CAPS[_degree_set(ns)]
     summary = sweep_theorem("T" + ns.theorem, n_max, store=ns.store, resume=ns.resume)
-    # keying the catalog costs 28 canonical searches, so only when there is a graph to name
+    # keying the catalog costs 29 canonical searches, so only when there is a graph to name
     names = catalog_names() if summary.violations or summary.equalities else {}
     payload = {
         "theorem": ns.theorem,

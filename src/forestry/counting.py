@@ -32,6 +32,9 @@ A spanning tree is a spanning forest with one block, so count_trees
 runs the same program on connected input and drops a state once a block
 closes early: p leaves without taking the edge, no other position shares
 its block, and others remain.  Each _STEPS entry keeps that bit as well.
+
+The forests that keep a vertex set in pairwise distinct trees, and a
+gadget's extension counts, are count_forests(multigraph.identify(g, blocks)).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .errors import InputError
-from .multigraph import _identify, contract_set, is_connected
+from .multigraph import is_connected
 
 FORESTS = "F"
 TREES = "T"
@@ -264,28 +267,3 @@ def count_forests_bruteforce(g):
 
     return rec(0)
 
-
-def count_forests_separating(g, vset):
-    """Forests in which all of vset's vertices lie in distinct components."""
-    return count_forests(contract_set(g, vset))
-
-
-def extension_count(g, partition):
-    """Forest count of g with each block of partition identified to one vertex.
-
-    g is a gadget on its own: any of its vertices could meet a host, so a
-    block may hold any vertex that has an edge.  Blocks are nonempty and
-    disjoint; vertices in no block stay as they are.
-    """
-    blocks = [tuple(sorted(set(b))) for b in partition]
-    covered = set()
-    for b in blocks:
-        if not b:
-            raise InputError("empty block")
-        for x in b:
-            if type(x) is not int or not 0 <= x < g.n or not g._adj[x]:
-                raise InputError(f"block vertex {x} is not a gadget vertex")
-            if x in covered:
-                raise InputError(f"vertex {x} appears in two blocks")
-            covered.add(x)
-    return count_forests(_identify(g, blocks))

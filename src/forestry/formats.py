@@ -158,7 +158,8 @@ def parse_graph(text):
     first = next(lines, None)
     if first is None:
         raise InputError("no graph data in input")
-    if first[0].isdigit() and len(first.split()) == 2:
+    # any two tokens make a header, since graph6 characters (63-126) hold no space
+    if len(first.split()) == 2:
         return parse_edge_list(text)
     extra = sum(1 for _ in lines)
     if extra:

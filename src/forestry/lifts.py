@@ -32,13 +32,6 @@ from .multigraph import (
 DEFAULT_CONSTANT_CAP = 5
 
 
-class LiftPlan(NamedTuple):
-    """A complete-lift recipe: the center and the pairing of its edge ends."""
-
-    center: int
-    pairs: tuple
-
-
 class LiftConstant(NamedTuple):
     m: int
     kind: str
@@ -104,17 +97,17 @@ def lift_feasible_multigraph(g, x):
 
 
 def enumerate_lifts(g, x):
-    """All distinct pairings at x with their lifted multigraphs.
+    """Each distinct pairing of x's edge ends, as (pairs, lifted multigraph).
 
-    Pairings are deduplicated as multisets of pairs (two parallel copies
-    of an edge are interchangeable), not by the isomorphism class of the
-    result, and come out in lexicographic order.
+    pairs is a sorted tuple of pairs of g's ids.  Pairings are multisets of
+    pairs (parallel copies of an edge are interchangeable), not isomorphism
+    classes of the result, and come out in lexicographic order.
     """
     _half_degree(g, x)
     # x goes, and the ids above it shift down by one
     vmap = [v - (v > x) if v != x else None for v in range(g.n)]
     return [
-        (LiftPlan(x, pairs), _derive(g, g.n - 1, vmap, [(vmap[a], vmap[b]) for a, b in pairs]))
+        (pairs, _derive(g, g.n - 1, vmap, [(vmap[a], vmap[b]) for a, b in pairs]))
         for pairs in _pairings(_endpoint_multiset(g, x))
     ]
 

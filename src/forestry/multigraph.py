@@ -1,10 +1,10 @@
 """Loopless multigraphs on vertices 0..n-1 with exact minor operations.
 
-Parallel edges are stored as per-pair multiplicities.  Contraction
-identifies the two endpoints, drops the loops this would create and
-keeps parallel edges, which is the convention all counting code in this
-package depends on.  Operations never mutate their argument; they build
-a new graph.
+Parallel edges are stored as per-pair multiplicities.  identify merges
+each block of vertices into one vertex, drops the loops this would
+create and keeps parallel edges, which is the convention all counting
+code in this package depends on; contracting an edge is the one-block
+case.  Operations never mutate their argument; they build a new graph.
 """
 
 from __future__ import annotations
@@ -148,43 +148,34 @@ def delete_edge(g, u, v):
 
 
 def contract_edge(g, u, v):
-    """Identify the endpoints of edge uv, dropping the uv bundle.
-
-    The merged vertex takes the min(u, v) slot; ids above max(u, v)
-    shift down by one.  Parallel edges arising from common neighbors
-    are kept (multiplicities add).
-    """
+    """identify(g, [(u, v)]) for an edge uv: the uv bundle goes, parallel edges add up."""
     if g.multiplicity(u, v) == 0:
         raise InputError(f"no edge between {u} and {v} to contract")
-    return _identify(g, [(u, v)])
+    return identify(g, [(u, v)])
 
 
-def contract_set(g, vset):
-    """Identify all vertices of vset into one, adjacency not required.
+def identify(g, blocks):
+    """Identify each block of vertices to one vertex, adjacency not required.
 
-    Edges inside vset are dropped (they would become loops); edges from
-    outside accumulate on the merged vertex, which takes the min(vset)
-    slot.  Ids of removed vertices are closed up, preserving the order
-    of the survivors.
+    Blocks are nonempty and disjoint; a vertex in no block stays as it is.
+    Edges inside a block are dropped (they would become loops) and the
+    rest accumulate on the merged vertex, which takes the block's least
+    slot; ids of removed vertices close up, keeping the survivors' order.
     """
-    vs = sorted(set(vset))
-    if not vs:
-        raise InputError("contract_set needs at least one vertex")
-    for v in vs:
-        g._check(v)
-    if len(vs) == 1:
-        return g
-    return _identify(g, [vs])
-
-
-def _identify(g, groups):
-    """Merge each of the disjoint vertex groups into its least member.
-
-    Edges inside a group are dropped; ids of the removed vertices are
-    closed up, preserving the order of the survivors.
-    """
+    try:
+        blocks = [list(b) for b in blocks]
+    except TypeError:
+        raise InputError(f"blocks {blocks!r} are not collections of vertices") from None
     rep = list(range(g.n))
-    for vs in groups:
+    owner = [None] * g.n  # the block each vertex is in
+    for i, vs in enumerate(blocks):
+        if not vs:
+            raise InputError("empty block")
+        for v in vs:
+            g._check(v)
+            if owner[v] not in (None, i):
+                raise InputError(f"vertex {v} appears in two blocks")
+            owner[v] = i
         lo = min(vs)
         for v in vs:
             rep[v] = lo

@@ -3,7 +3,7 @@
 Each entry stores only what cannot be derived: its name, a summary, the
 graph, its forest count and whether the degree-{2, 3, 4} bound holds.
 Each entry is built from its edge list and re-counted the first time it
-is used, and only that entry; catalog() checks all 28, and
+is used, and only that entry; catalog() checks all 29, and
 catalog_names(), which only names graphs, checks none.  A disagreement
 with the stored count or verdict raises CheckFailed instead of
 letting a bad transcription leak into downstream checks.
@@ -183,6 +183,14 @@ _RAW = [
         5,
         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 2), (4, 3)],
         81,
+        True,
+    ),
+    (
+        "D8",
+        "two K4-e joined by a bridge between a degree-2 vertex of each",
+        8,
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)],
+        1152,
         True,
     ),
     (

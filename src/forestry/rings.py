@@ -16,13 +16,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .counting import count_forests, extension_count
+from .counting import count_forests
 from .errors import InputError
 from .multigraph import (
     MultiGraph,
     contract_edge,
     delete_edge,
     from_edge_list,
+    identify,
     is_connected,
 )
 
@@ -171,18 +172,21 @@ def set_partitions(items):
 
 
 def _check_gadget(g):
+    # any attachment could meet a host, so each must be a vertex with an edge
     att = g.attachments
+    for v in att:
+        if type(v) is not int or not 0 <= v < g.graph.n:
+            raise InputError(f"attachment {v!r} is not a vertex")
+        if not g.graph._adj[v]:
+            raise InputError(f"attachment {v} has no edge")
     if len(set(att)) != len(att):
         raise InputError(f"attachment list {att} repeats a vertex")
-    for v in att:
-        if not 0 <= v < g.graph.n:
-            raise InputError(f"attachment {v} is not a vertex")
 
 
 def _extensions(gadget, part):
-    """The gadget's extension count with each block of attachment positions identified."""
+    """The gadget's forest count with each block of attachment positions identified."""
     blocks = [[gadget.attachments[i] for i in block] for block in part]
-    return extension_count(gadget.graph, blocks)
+    return count_forests(identify(gadget.graph, blocks))
 
 
 def min_ratio_check(gadget_a, gadget_b):

@@ -24,11 +24,11 @@ from forestry import (
     contract_edge,
     count_forests,
     count_forests_bruteforce,
-    count_forests_separating,
     delete_edge,
     enumerate_family,
     enumerate_lifts,
     from_edge_list,
+    identify,
     is_connected,
     lift_constant,
     lift_feasible_multigraph,
@@ -151,7 +151,7 @@ def test_criterion_3_recursion_identities(shared_cache):
         if g.n == 0:
             continue
         vset = set(rng.sample(range(g.n), rng.randint(1, min(g.n, 3))))
-        assert count_forests_separating(g, vset) == (
+        assert count_forests(identify(g, [vset])) == (
             separating_forests_bruteforce(g, vset)
         )
         done += 1

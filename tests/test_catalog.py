@@ -39,6 +39,7 @@ GOLDEN = {
     "Y6p": (722, (0, 2, 4), (2, 12), True),
     "D4": (24, (2, 2, 0), (14, 4), True),
     "D5": (81, (3, 0, 2), (16, 6), True),
+    "D8": (1152, (2, 6, 0), (38, 8), True),
     "H1": (14381, (0, 0, 8), (-2, 18), True),
     "H2": (52485, (0, 0, 9), (0, 20), True),
     "H3": (2457, (1, 0, 6), (4, 14), True),
@@ -93,6 +94,7 @@ def test_p_bound_verdicts_on_the_cubic_entries():
         "K4": LESS,
         "K4-e": EQUAL,
         "D4": EQUAL,
+        "D8": EQUAL,
         "K33": GREATER,
         "R1": GREATER,
         "R2": GREATER,
@@ -100,6 +102,18 @@ def test_p_bound_verdicts_on_the_cubic_entries():
     for name, verdict in expect.items():
         entry = catalog_entry(name)
         assert compare(entry.forests, p_bound(entry.graph)) == verdict
+
+
+def test_d8_is_two_k4_minus_e_on_a_bridge():
+    # a forest takes the bridge or not and either way splits into forests
+    # of the two sides, so F = 2 * 24^2 = 2^7 3^2, which is exactly the
+    # {2, 3} bound at two degree-2 and six degree-3 vertices (pinned with
+    # the other p_bound verdicts)
+    d8 = catalog_entry("D8").graph
+    k4e = catalog_entry("K4-e").graph
+    assert d8.multiplicity(2, 4) == 1
+    assert count_forests(d8) == 2 * count_forests(k4e) ** 2 == 2**7 * 3**2
+    assert count_trees(d8) == count_trees(k4e) ** 2 == 64
 
 
 def test_pinned_profiles_bounds_and_verdicts():

@@ -146,6 +146,16 @@ def test_verify_theorem1_text_summary(cli):
     assert "K4-e (n=4)" in lines[3]
 
 
+def test_verify_names_the_n8_equality_of_theorem_1(cli):
+    # Theorem 1's equality at n = 8 is a catalog graph, so it is printed by name
+    rc, out, err = cli("verify", "--theorem", "1", "--max-n", "8")
+    assert (rc, err) == (0, "")
+    assert out == (
+        "theorem 1  family 23  max n 8\nchecked 100  skipped 0\n"
+        "violations 1: K4 (n=4)\nequalities 2: K4-e (n=4), D8 (n=8)\n"
+    )
+
+
 def test_verify_theorem2_json(cli):
     rc, out, _ = cli(
         "verify", "--theorem", "2", "--max-n", "5", "--output", "json"
@@ -467,7 +477,7 @@ def test_catalog_table(cli):
     rc, out, _ = cli("catalog")
     assert rc == 0
     lines = out.splitlines()
-    assert len(lines) == 29
+    assert len(lines) == 30
     k5 = next(line for line in lines if line.startswith("K5 "))
     assert "291" in k5
     assert k5.rstrip().endswith("no")
@@ -492,7 +502,7 @@ def test_catalog_json(cli):
     rc, out, _ = cli("catalog", "--output", "json")
     assert rc == 0
     obj = json.loads(out)
-    assert len(obj["entries"]) == 28
+    assert len(obj["entries"]) == 29
     h8 = next(e for e in obj["entries"] if e["name"] == "H8")
     assert h8["forests"] == "58975"
     assert "edges" not in h8
@@ -725,8 +735,11 @@ def test_a_plain_value_error_is_a_defect_not_bad_input(cli, monkeypatch):
         # K5 is 4-regular, outside the {2,3} family that p covers
         (("bound", "--which", "p", "--catalog", "K5"), None, "degrees [4] are outside {2, 3}"),
         (("bound",), TWO_TRIANGLES, "the bounds are stated for connected graphs"),
+        # two tokens make a header even with a sign in front: not a graph6 line
+        (("count",), "-1 2", "header counts must be nonnegative, got '-1 2'"),
     ],
-    ids=["loop", "vertex-range", "too-many-vertices", "degree-family", "disconnected"],
+    ids=["loop", "vertex-range", "too-many-vertices", "degree-family", "disconnected",
+         "negative-header"],
 )
 def test_each_refusal_exits_two_with_its_own_line(cli, argv, stdin, err):
     assert cli(*argv, stdin=stdin) == (2, "", f"error: {err}\n")
@@ -808,8 +821,8 @@ PINNED = [
     ),
     (
         ('catalog',),
-        'sha256:15cdae264bc674180d12436f9b90a772005b5fb05507065604eacdca3e1e893c',
-        'sha256:e170210137b5fab412210e1dd196173f404cc582937636dba50f2afdb4f47f27',
+        'sha256:4a735bba2cb8c7c9b4c1286711550d0fee96aa378830c13891f6c0e0b7b14ced',
+        'sha256:f8b4ad8de00829c5df3f7c5e91ff247deaaebbc4c12e413d867a33b4c2cf8ca5',
     ),
     (
         ('catalog', '--name', 'H7'),
@@ -818,8 +831,8 @@ PINNED = [
     ),
     (
         ('catalog', '--emit-edgelist'),
-        'sha256:a411c6725316b474707c33e40cb85b0d2317386225d9aa4c347af644acdbc074',
-        'sha256:cf5bf62db153b82e2d70ddad9cbbd4755e6bec0d769904eb519659d0b794356b',
+        'sha256:19be055eeb6dcc4adfae7368327364375b05fb6b43dbbe1722171488a1f96e43',
+        'sha256:827c59ce0582ff0f375574f6e777e9b42ab13f16f53456e29a7c23e2c1de5c3b',
     ),
 ]
 

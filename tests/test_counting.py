@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from unittest import mock
 
@@ -9,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestry import (
+    Gadget,
     MemoCache,
     MultiGraph,
     contract_edge,
-    contract_set,
     count_forests,
     count_forests_bruteforce,
-    count_forests_separating,
     count_trees,
     delete_edge,
-    extension_count,
     from_edge_list,
+    identify,
+    min_ratio_check,
 )
 from forestry import counting
 from forestry.errors import InputError
@@ -257,17 +258,22 @@ def test_bundle_identity_random():
 # -- separating counts --------------------------------------------------
 
 
+def separating(g, vset):
+    """Forests in which the vertices of vset lie in pairwise distinct trees."""
+    return count_forests(identify(g, [vset]))
+
+
 def test_separating_triangle_pair():
-    assert count_forests_separating(complete_graph(3), {0, 1}) == 3
+    assert separating(complete_graph(3), {0, 1}) == 3
 
 
 def test_separating_k4_pair():
-    assert count_forests_separating(complete_graph(4), {0, 1}) == 14
+    assert separating(complete_graph(4), {0, 1}) == 14
 
 
 def test_separating_requires_vertices():
-    with pytest.raises(InputError, match="^contract_set needs at least one vertex$"):
-        count_forests_separating(complete_graph(3), set())
+    with pytest.raises(InputError, match="^empty block$"):
+        separating(complete_graph(3), set())
 
 
 def test_separating_matches_bruteforce_filter():
@@ -278,7 +284,7 @@ def test_separating_matches_bruteforce_filter():
             continue
         k = rng.randrange(2, g.n + 1)
         vs = set(rng.sample(range(g.n), k))
-        assert count_forests_separating(g, vs) == separating_forests_bruteforce(g, vs)
+        assert separating(g, vs) == separating_forests_bruteforce(g, vs)
 
 
 def _double_star():
@@ -289,16 +295,18 @@ def _double_star():
 def test_double_star_contraction_ladder():
     g = _double_star()
     assert count_forests(g) == 32
-    assert count_forests_separating(g, {2, 3}) == 24
-    assert count_forests_separating(g, {2, 4}) == 28
-    assert count_forests_separating(g, {2, 3, 4}) == 20
-    assert count_forests_separating(g, {2, 3, 4, 5}) == 14
+    assert separating(g, {2, 3}) == 24
+    assert separating(g, {2, 4}) == 28
+    assert separating(g, {2, 3, 4}) == 20
+    assert separating(g, {2, 3, 4, 5}) == 14
     # two disjoint merges; after {2,3} collapses into slot 2, the old
     # leaves 4 and 5 sit at 3 and 4
-    h = contract_set(g, {2, 3})
-    assert count_forests(contract_set(h, {3, 4})) == 18
-    h = contract_set(g, {2, 4})
-    assert count_forests(contract_set(h, {3, 4})) == 24
+    h = identify(g, [{2, 3}])
+    assert count_forests(identify(h, [{3, 4}])) == 18
+    assert count_forests(identify(g, [{2, 3}, {4, 5}])) == 18
+    h = identify(g, [{2, 4}])
+    assert count_forests(identify(h, [{3, 4}])) == 24
+    assert count_forests(identify(g, [{2, 4}, {3, 5}])) == 24
 
 
 # -- gadget extension counts --------------------------------------------
@@ -307,38 +315,32 @@ def test_double_star_contraction_ladder():
 def test_extension_identity_partition():
     g = _double_star()
     parts = [[v] for v in range(6)]
-    assert extension_count(g, parts) == 32
+    assert count_forests(identify(g, parts)) == 32
 
 
 def test_extension_merges_blocks():
     g = from_edge_list(4, [(0, 1), (2, 3)])
-    assert extension_count(g, [[0, 1]]) == 2
-    assert extension_count(g, [[0, 2]]) == 4
-    assert extension_count(g, [[0, 1], [2, 3]]) == 1
+    assert count_forests(identify(g, [[0, 1]])) == 2
+    assert count_forests(identify(g, [[0, 2]])) == 4
+    assert count_forests(identify(g, [[0, 1], [2, 3]])) == 1
 
 
 def test_extension_rejects_bad_input():
+    # any attachment could meet a host, so each must be a vertex with an edge
     g = from_edge_list(7, _double_star().edge_list())  # vertex 6 has no edge
-    with pytest.raises(InputError, match="^vertex 0 appears in two blocks$"):
-        extension_count(g, [[0], [0, 1]])
-    with pytest.raises(InputError, match="^empty block$"):
-        extension_count(g, [[]])
-    for bad in (6, 7, -1, "0"):
-        with pytest.raises(InputError, match=f"^block vertex {bad} is not a gadget vertex$"):
-            extension_count(g, [[bad], [0, 1]])
-
-
-def test_extension_matches_direct_contraction():
-    rng = random.Random(66)
-    for _ in range(30):
-        g = rand_multigraph(rng, max_n=6, max_edges=10, connected=True)
-        if g.m < 2:
-            continue
-        # whole graph as gadget: merging one block is plain contraction
-        k = rng.randrange(2, g.n + 1)
-        block = sorted(rng.sample(range(g.n), k))
-        got = extension_count(g, [block])
-        assert got == count_forests(contract_set(g, block))
+    good = Gadget(g, (0, 1))
+    for attachment, message in [
+        (6, "attachment 6 has no edge"),
+        ("0", "attachment '0' is not a vertex"),
+        (None, "attachment None is not a vertex"),
+        (True, "attachment True is not a vertex"),
+        (7, "attachment 7 is not a vertex"),
+        (-1, "attachment -1 is not a vertex"),
+    ]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            min_ratio_check(Gadget(g, (0, attachment)), good)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            min_ratio_check(good, Gadget(g, (attachment, 1)))
 
 
 # -- memo cache ----------------------------------------------------------

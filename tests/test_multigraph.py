@@ -9,13 +9,13 @@ from forestry import (
     MultiGraph,
     canonical_key,
     contract_edge,
-    contract_set,
     count_forests,
     count_trees,
     degree_counts,
     delete_edge,
     enumerate_lifts,
     from_edge_list,
+    identify,
     is_connected,
 )
 from forestry.errors import InputError
@@ -87,7 +87,7 @@ def test_a_bool_is_not_a_vertex():
     with pytest.raises(InputError, match=r"^vertex True not in 0\.\.2$"):
         g.degree(True)
     with pytest.raises(InputError, match=r"^vertex False not in 0\.\.2$"):
-        contract_set(g, [False, True])
+        identify(g, [[False, True]])
 
 
 def test_contract_edge_k4_example():
@@ -111,25 +111,71 @@ def test_contract_edge_requires_the_edge():
         contract_edge(g, 0, 2)
 
 
-def test_contract_set_identifies_nonadjacent_vertices():
+def test_identify_merges_nonadjacent_vertices():
     p = path_graph(4)  # 0-1-2-3
-    c = contract_set(p, {0, 3})
+    c = identify(p, [{0, 3}])
     assert c.n == 3
     assert {(u, v): t for u, v, t in c.bundles()} == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
-    # single-vertex contraction is the identity
-    assert contract_set(p, {2}) == p
+    # one-vertex blocks, repeats inside a block and no blocks leave the graph as it is
+    assert identify(p, [{2}]) == identify(p, [[1], [3, 3]]) == identify(p, []) == p
 
 
-def test_contract_set_order_independent():
+def test_identify_is_order_independent():
     rng = random.Random(7)
     for _ in range(50):
         g = rand_multigraph(rng, max_n=7, max_edges=12)
         if g.n < 3:
             continue
         vs = rng.sample(range(g.n), 3)
-        a = contract_set(g, vs)
-        b = contract_set(contract_set(g, vs[:2]), _map_after(vs[:2], vs))
+        a = identify(g, [vs])
+        b = identify(identify(g, [vs[:2]]), [_map_after(vs[:2], vs)])
         assert canonical_key(a) == canonical_key(b)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([["0", 1]], "vertex '0' not in 0..5"),
+        ([[None, 1]], "vertex None not in 0..5"),
+        ([[1.0, 2]], "vertex 1.0 not in 0..5"),
+        ([[True, 2]], "vertex True not in 0..5"),
+        ([[1, 2], []], "empty block"),
+        ([[0, 1], [2, 0]], "vertex 0 appears in two blocks"),
+        ([[3], [4, 3]], "vertex 3 appears in two blocks"),
+        ([[0, 6]], "vertex 6 not in 0..5"),
+        ([[-1, 2]], "vertex -1 not in 0..5"),
+        ([0, 1], "blocks [0, 1] are not collections of vertices"),
+        (None, "blocks None are not collections of vertices"),
+    ],
+    ids=["str", "none", "float", "bool", "empty", "overlap", "overlap-at-least",
+         "above-range", "negative", "unnested", "not-iterable"],
+)
+def test_identify_refuses_bad_blocks(blocks, message):
+    # each vertex is checked before the blocks are sorted or their least
+    # vertex taken, so a str or None is a refusal, not a TypeError
+    g = path_graph(6)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        identify(g, blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_multi_block_identify_matches_a_rebuild(seed):
+    # several disjoint blocks at once, against the edge-list rebuild of the
+    # vertex map that sends each block to its least vertex
+    rng = random.Random(seed)
+    g = rand_multigraph(rng, max_n=8, max_edges=14)
+    order = rng.sample(range(g.n), g.n)
+    blocks = []
+    while order:
+        k = rng.randint(1, len(order))
+        blocks.append(order[:k])
+        order = order[k:]
+    blocks = [b for b in blocks if rng.random() < 0.7]
+    lo = {v: min(b) for b in blocks for v in b}
+    survivors = [v for v in range(g.n) if lo.get(v, v) == v]
+    vmap = [survivors.index(lo.get(v, v)) for v in range(g.n)]
+    assert _same(identify(g, blocks), rebuild(g, len(survivors), vmap))
 
 
 def _map_after(merged, vs):
@@ -258,7 +304,7 @@ def test_derived_graphs_match_an_edge_list_rebuild(seed):
     vs = rng.sample(range(n), rng.randint(1, n))
     survivors = [v for v in range(n) if v not in vs or v == min(vs)]
     merged = [survivors.index(min(vs) if v in vs else v) for v in range(n)]
-    assert _same(contract_set(g, vs), rebuild(g, len(survivors), merged))
+    assert _same(identify(g, [vs]), rebuild(g, len(survivors), merged))
     edges = g.edge_list()
     if edges:
         u, v = rng.choice(edges)
@@ -271,6 +317,6 @@ def test_derived_graphs_match_an_edge_list_rebuild(seed):
     for x in range(n):
         if g.degree(x) % 2 == 0 and g.degree(x) <= 8:
             shift = without(x)
-            for plan, lifted in enumerate_lifts(g, x):
-                pairs = [(shift[a], shift[b]) for a, b in plan.pairs]
+            for pairs, lifted in enumerate_lifts(g, x):
+                pairs = [(shift[a], shift[b]) for a, b in pairs]
                 assert _same(lifted, rebuild(g, n - 1, shift, pairs))
