@@ -5,14 +5,17 @@ the least serialization (n, n zero bytes, the upper triangle of the
 multiplicity matrix; a value x from 255 up is x // 255 bytes 255, then
 the byte x % 255) over the leaves of the search tree.
 Refinement makes synchronous passes over an ordered partition whose
-colours are cell positions.  Past the root's first pass, a pass re-signs
-only cells next to the individualized vertex or to a part, other than a
-largest one, of a cell the last pass split.  Automorphisms prune the
-search (McKay & Piperno, J. Symbolic Comput. 60, 2014): a leaf equal to
-the best yields one, and the search returns to where the two paths part;
-a child in the orbit of an explored sibling, under the automorphisms
-found that fix the node's individualized vertices, is skipped.  Neither
-rule loses a serialization; the automorphisms found generate the group.
+colours are cell positions.  A vertex is signed by its neighbours' sorted
+(colour, multiplicity) pairs, or on a simple graph by their bare sorted
+colours, which sort the same way.  The root's first pass is read off the
+sorted multiplicities; past it, a pass re-signs only cells next to the
+individualized vertex or to a part, other than a largest one, of a cell
+the last pass split.  Automorphisms prune the search (McKay & Piperno,
+J. Symbolic Comput. 60, 2014): a leaf equal to the best yields one, and
+the search returns to where the two paths part; a child in the orbit of
+an explored sibling, under the automorphisms found that fix the node's
+individualized vertices, is skipped.  Neither rule loses a
+serialization; the automorphisms found generate the group.
 A run store keeps these keys, so any change to the serialization must
 bump sweep.RECORD_VERSION; a resume then recounts every stored graph.
 """
@@ -20,7 +23,7 @@ bump sweep.RECORD_VERSION; a resume then recounts every stored graph.
 from itertools import groupby
 
 
-def _refine(adj, cells, touched):
+def _refine(adj, cells, touched, simple):
     """Refine an ordered partition until stable; the first pass re-signs touched cells."""
     colors = [0] * len(adj)
     while touched and len(cells) < len(adj):
@@ -29,7 +32,8 @@ def _refine(adj, cells, touched):
                 colors[v] = i
         split = {}
         for i in {colors[v] for v in touched if len(cells[colors[v]]) > 1}:
-            sig = sorted([(sorted([(colors[w], t) for w, t in adj[v].items()]), v)
+            sig = sorted([(sorted([colors[w] for w in adj[v]] if simple else
+                                  [(colors[w], t) for w, t in adj[v].items()]), v)
                           for v in cells[i]])
             if sig[0][0] != sig[-1][0]:
                 split[i] = [[x[1] for x in run] for _, run in groupby(sig, lambda x: x[0])]
@@ -39,6 +43,20 @@ def _refine(adj, cells, touched):
         touched = [w for part in smaller for v in part for w in adj[v]]
         cells = [part for i, cell in enumerate(cells) for part in split.get(i, (cell,))]
     return cells
+
+
+def _simple(adj):
+    return all(t == 1 for row in adj for t in row.values())
+
+
+def _root(adj):
+    """The refined root partition every search of adj starts from; its first
+    pass from the unit partition is read off the sorted multiplicities."""
+    profiles = sorted([(sorted(row.values()), v) for v, row in enumerate(adj)])
+    cells = [[x[1] for x in run] for _, run in groupby(profiles, lambda x: x[0])]
+    largest = max(range(len(cells)), key=lambda i: (len(cells[i]), i), default=0)
+    touched = [w for i, cell in enumerate(cells) if i != largest for v in cell for w in adj[v]]
+    return _refine(adj, cells, touched, _simple(adj))
 
 
 def _serialize(n, adj, order):
@@ -69,13 +87,13 @@ def _orbit(points, gens, fixed):
     return tree
 
 
-def _search(n, adj):
+def _search(n, adj, cells):
     """The least serialization, automorphism generators, the best leaf's path and order."""
     best = best_order = best_path = None
     gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
-    cells = _refine(adj, [list(range(n))] if n else [], range(n))
+    simple = _simple(adj)
     t = 0  # the cells before the parent's target cell are singletons
     while True:
         if len(cells) < n:
@@ -102,25 +120,25 @@ def _search(n, adj):
                 explored.append(w)
                 path[depth:] = [w]
                 rest = [v for v in cells[t] if v != w]
-                cells = _refine(adj, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w])
+                cells = _refine(adj, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w], simple)
                 break
             nodes.pop()
         else:
             return best, gens, best_path, best_order
 
 
-def search(n, adj):
-    """The key, automorphism generators and canonical order from one search.
+def search(n, adj, cells):
+    """The key, automorphism generators and canonical order from cells = _root(adj).
 
     order[i] is the vertex the key serializes at position i, so isomorphic
     graphs map onto each other by their orders.  The generators, {v: image}
     maps over the points they move, generate the automorphism group."""
-    best, gens, _, order = _search(n, adj)
+    best, gens, _, order = _search(n, adj, cells)
     return best, gens, order
 
 
 def canonical_key(n, adj):
-    return _search(n, adj)[0]
+    return _search(n, adj, _root(adj))[0]
 
 
 def automorphisms(n, adj):
@@ -128,7 +146,7 @@ def automorphisms(n, adj):
 
     Generators fixing the first i vertices of the best leaf's path generate
     their stabilizer: the group is a product of transversals along it."""
-    _, gens, path, _ = _search(n, adj)
+    _, gens, path, _ = _search(n, adj, _root(adj))
     ident = tuple(range(n))
     group = [ident]
     for depth in reversed(range(len(path))):

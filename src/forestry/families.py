@@ -14,8 +14,12 @@ offers one hook per orbit of its automorphism group.  A child is
 rejected at once when some non-cut vertex has a smaller invariant than
 the new vertex, accepted without a tie-break when the new vertex alone
 holds the least invariant, and otherwise accepted only when the new
-vertex lies in the Aut(C)-orbit of v(C).  One canon search per child
-that is not rejected at once gives its key, its canonical order and
+vertex lies in the Aut(C)-orbit of v(C).  Automorphisms fix each root
+cell of C's canon search, and the canonical order lists those cells in
+turn, so v(C) and its orbit lie in the first root cell with a tie or the
+new vertex: the child is rejected unsearched when the new vertex is not
+there, and the tie-break looks only at the ties there.  One canon search
+per child not rejected before it gives its key, its canonical order and
 generators of Aut(C), which it uses as a parent one level up.
 
 Each class once.  C - v(C) is connected with degrees within the bound,
@@ -43,6 +47,7 @@ a larger order raises InputError.
 
 from itertools import combinations
 
+from .canon import _root
 from .errors import InputError
 from .multigraph import MultiGraph, _components, _derive, canonical_search
 
@@ -149,7 +154,13 @@ def family_levels(degree_set, n_max):
                 if ties is None:
                     continue
                 child = _derive(g, n, range(new), [(v, new) for v in hook])
-                key, child_gens, order = canonical_search(child)
+                cells = _root(child._adj)
+                if ties:
+                    at = {v: i for i, cell in enumerate(cells) for v in cell}
+                    if min([at[u] for u in ties]) < at[new]:
+                        continue
+                    ties = [u for u in ties if at[u] == at[new]]
+                key, child_gens, order = canonical_search(child, cells)
                 if ties:
                     first = min(ties + [new], key=order.index)
                     if (new,) not in _orbit((first,), child_gens):

@@ -144,6 +144,8 @@ def lift_constant(m, kind="forests", cache=None):
     """The exact minimum shrink factor over all complete lifts of order m."""
     if kind not in ("forests", "trees"):
         raise InputError(f"kind must be 'forests' or 'trees', got {kind!r}")
+    if type(m) is not int:
+        raise InputError(f"m = {m!r} is not an int")
     if not 1 <= m <= DEFAULT_CONSTANT_CAP:
         raise InputError(f"m = {m} is outside 1..{DEFAULT_CONSTANT_CAP}")
     best = None

@@ -239,11 +239,11 @@ def automorphisms(g):
     return canon.automorphisms(g.n, g._adj)
 
 
-def canonical_search(g):
+def canonical_search(g, cells):
     """(key, automorphism generators, canonical order) from one search.
 
     See canon.search; the key is cached, so canonical_key(g) is free after.
     """
-    key, gens, order = canon.search(g.n, g._adj)
+    key, gens, order = canon.search(g.n, g._adj, cells)
     g._key = key
     return key, gens, order

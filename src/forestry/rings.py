@@ -101,6 +101,9 @@ def ring_family(g, u, v, m_list):
     Rows carry the closed-form count, the per-vertex root, and (for
     small m) an independent direct count of the constructed ring.
     """
+    for m in m_list:
+        if type(m) is not int or m < 1:
+            raise InputError(f"ring size m = {m!r} is not a positive int")
     if not is_connected(g):
         raise InputError("the ring construction needs a connected seed")
     cut = delete_edge(g, u, v)  # raises InputError when uv is missing
@@ -113,8 +116,6 @@ def ring_family(g, u, v, m_list):
     r = g.n
     rows = []
     for m in sorted(set(m_list)):
-        if m < 1:
-            raise InputError(f"ring size m = {m} must be positive")
         forests = 2**m * a_value**m - b_value**m
         root = math.exp(math.log(forests) / (m * r))
         direct = None
@@ -174,6 +175,8 @@ def set_partitions(items):
 def _check_gadget(g):
     # any attachment could meet a host, so each must be a vertex with an edge
     att = g.attachments
+    if not isinstance(att, (tuple, list)):
+        raise InputError(f"attachments {att!r} are not a tuple of vertices")
     for v in att:
         if type(v) is not int or not 0 <= v < g.graph.n:
             raise InputError(f"attachment {v!r} is not a vertex")

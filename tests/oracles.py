@@ -6,7 +6,7 @@ second route to every number.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 from forestry import canonical_key, from_edge_list
 
@@ -349,6 +349,38 @@ def _reference_refine(n, nbrs, loops, colors):
         if new == colors:
             return colors
         colors = new
+
+
+# The ordered-partition refinement of forestry.canon as it stood before
+# the root's first pass was read off the multiplicity profiles and simple
+# graphs were signed on bare colours: every pass signs a vertex by its
+# neighbours' sorted (colour, multiplicity) pairs, and the root is refined
+# from the unit partition.
+
+
+def reference_refine_cells(adj, cells, touched):
+    colors = [0] * len(adj)
+    while touched and len(cells) < len(adj):
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        split = {}
+        for i in {colors[v] for v in touched if len(cells[colors[v]]) > 1}:
+            sig = sorted([(sorted([(colors[w], t) for w, t in adj[v].items()]), v)
+                          for v in cells[i]])
+            if sig[0][0] != sig[-1][0]:
+                split[i] = [[x[1] for x in run] for _, run in groupby(sig, lambda x: x[0])]
+        if not split:
+            break
+        smaller = [part for p in split.values() for part in sorted(p, key=len)[:-1]]
+        touched = [w for part in smaller for v in part for w in adj[v]]
+        cells = [part for i, cell in enumerate(cells) for part in split.get(i, (cell,))]
+    return cells
+
+
+def reference_root(adj):
+    n = len(adj)
+    return reference_refine_cells(adj, [list(range(n))] if n else [], range(n))
 
 
 def _reference_serialize(n, adj, loops, order):

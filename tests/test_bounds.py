@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,20 @@ def test_ring_family_rejects_bad_seeds():
         ring_family(cycle_graph(4), 0, 2, [1])
     with pytest.raises(ValueError):
         ring_family(complete_graph(4), 0, 1, [0])
+
+
+@pytest.mark.parametrize(
+    "m_list, message",
+    [
+        ([1, "2"], "ring size m = '2' is not a positive int"),
+        ([1.5], "ring size m = 1.5 is not a positive int"),
+        ([True], "ring size m = True is not a positive int"),
+        ([3, 0], "ring size m = 0 is not a positive int"),
+    ],
+)
+def test_ring_family_refuses_a_size_that_is_not_a_positive_int(m_list, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        ring_family(complete_graph(4), 0, 1, m_list)
 
 
 def test_ring_graph_matches_an_edge_list_rebuild():

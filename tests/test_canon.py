@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forestry import (
@@ -26,6 +26,8 @@ from oracles import (
     rand_multigraph,
     reference_automorphisms,
     reference_canonical_key,
+    reference_refine_cells,
+    reference_root,
     relabeled,
 )
 
@@ -124,7 +126,7 @@ def _assert_matches_reference(n, adj):
     reference_group = set(reference_automorphisms(n, adj))
     assert set(auts) == reference_group
     # one search gives the key, a canonical order and generators
-    found, gens, order = canon.search(n, adj)
+    found, gens, order = canon.search(n, adj, canon._root(adj))
     assert found == key
     assert sorted(order) == list(range(n))
     assert _reference_serialize(n, adj, [0] * n, order) == key
@@ -191,6 +193,50 @@ def test_every_multigraph_on_four_vertices_matches_the_reference():
         pairs = list(itertools.combinations(range(n), 2))
         for mults in itertools.product(range(4), repeat=len(pairs)):
             _assert_matches_reference(n, _raw(n, dict(zip(pairs, mults))))
+
+
+# -- the root read off the multiplicity profiles ------------------------
+
+
+def _assert_root_matches_the_unit_refinement(adj):
+    cells = canon._root(adj)
+    assert cells == reference_root(adj)
+    # past the root, a simple graph is signed on bare colours; individualize
+    # each vertex of the first nontrivial cell and refine against the pairs
+    t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+    for w in cells[t] if t is not None else ():
+        split = cells[:t] + [[w], [v for v in cells[t] if v != w]] + cells[t + 1 :]
+        got = canon._refine(adj, split, adj[w], canon._simple(adj))
+        assert got == reference_refine_cells(adj, split, adj[w])
+
+
+def test_the_root_matches_the_unit_refinement_on_every_small_multigraph():
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mults in itertools.product(range(4), repeat=len(pairs)):
+            _assert_root_matches_the_unit_refinement(_raw(n, dict(zip(pairs, mults))))
+
+
+@st.composite
+def graphs_up_to_ten(draw):
+    n = draw(st.integers(0, 10))
+    simple = draw(st.booleans())
+    ends = st.integers(0, max(n - 1, 0))
+    mults = {}
+    for u, v in draw(st.lists(st.tuples(ends, ends), max_size=3 * n)):
+        if u != v:
+            pair = (min(u, v), max(u, v))
+            mults[pair] = 1 if simple else mults.get(pair, 0) + 1
+    return n, _raw(n, mults)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_up_to_ten())
+@example((0, []))
+@example((1, [{}]))
+@example((6, [{} for _ in range(6)]))
+def test_the_root_matches_the_unit_refinement(graph):
+    _assert_root_matches_the_unit_refinement(graph[1])
 
 
 def test_pinned_keys():

@@ -343,6 +343,16 @@ def test_extension_rejects_bad_input():
             min_ratio_check(good, Gadget(g, (attachment, 1)))
 
 
+@pytest.mark.parametrize("attachments", [5, None])
+def test_extension_refuses_attachments_that_are_not_a_sequence(attachments):
+    good = Gadget(complete_graph(4), (0, 1))
+    message = f"attachments {attachments!r} are not a tuple of vertices"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        min_ratio_check(Gadget(complete_graph(4), attachments), good)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        min_ratio_check(good, Gadget(complete_graph(4), attachments))
+
+
 # -- memo cache ----------------------------------------------------------
 
 

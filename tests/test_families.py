@@ -1,8 +1,10 @@
+import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from forestry import canonical_key, catalog_entry, from_edge_list, is_connected
+from forestry import canon, canonical_key, catalog_entry, families, from_edge_list, is_connected
 from forestry.errors import InputError
 from forestry.families import enumerate_family, family_levels
 
@@ -157,3 +159,73 @@ def test_guards():
         list(enumerate_family(13, {2, 3}))
     with pytest.raises(InputError, match="^order 10 exceeds the cap of 9$"):
         list(enumerate_family(10, {2, 3, 4}))
+
+
+# sha256 of every level's edge lists: the README says a representative
+# keeps the labeling generation built, so a change that builds others
+# says so and pins them again
+REPRESENTATIVES = {
+    ((2, 3), 10): "4259116a14d996181c6d03849769fd63473d646dfc98ac0e8574189849cc8f9f",
+    ((2, 3, 4), 8): "777093dc2babf2e20195eca6f3ea976ccfa9f8f02ece65d9b7c0dbd6e4ad7f15",
+}
+
+
+@pytest.mark.parametrize("degree_set, n_max", sorted(REPRESENTATIVES))
+def test_representatives_keep_their_labeling(degree_set, n_max):
+    digest = hashlib.sha256()
+    for n, members in family_levels(degree_set, n_max):
+        digest.update(repr((n, [g.edge_list() for g in members])).encode())
+    assert digest.hexdigest() == REPRESENTATIVES[degree_set, n_max]
+
+
+# (degree set, largest order): canon searches, and the children with ties
+# that the root cells reject, accept or leave to the orbit test
+SEARCHES = {
+    ((2, 3), 9): (451, {"rejected": 117, "accepted": 61, "orbit test": 213}),
+    ((2, 3, 4), 7): (272, {"rejected": 17, "accepted": 9, "orbit test": 138}),
+}
+
+
+@pytest.mark.parametrize("degree_set, n_max", sorted(SEARCHES))
+def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_max):
+    tied = []  # (neighbour lists, ties) of every child with ties
+    searched = []
+    ties, search = families._ties, families.canonical_search
+
+    def recording_ties(nbrs, degrees):
+        found = ties(nbrs, degrees)
+        if found:
+            tied.append((nbrs, found))
+        return found
+
+    def counting_search(g, cells):
+        searched.append(g.n)
+        return search(g, cells)
+
+    monkeypatch.setattr(families, "_ties", recording_ties)
+    monkeypatch.setattr(families, "canonical_search", counting_search)
+    for _ in family_levels(degree_set, n_max):
+        pass
+    verdicts = Counter()
+    for nbrs, found in tied:
+        n, new = len(nbrs), len(nbrs) - 1
+        adj = [dict.fromkeys(row, 1) for row in nbrs]
+        cells = canon._root(adj)
+        # the tie-break as it ran on every child with ties: v(C) is the
+        # candidate first in the canonical order, kept when new is in its orbit
+        _, gens, order = canon.search(n, adj, cells)
+        first = min(found + [new], key=order.index)
+        kept = (new,) in families._orbit((first,), gens)
+        at = {v: i for i, cell in enumerate(cells) for v in cell}
+        if min(at[u] for u in found) < at[new]:
+            assert not kept
+            verdicts["rejected"] += 1
+        elif all(at[u] != at[new] for u in found):
+            assert kept and first == new
+            verdicts["accepted"] += 1
+        else:
+            assert first == min([u for u in found if at[u] == at[new]] + [new], key=order.index)
+            verdicts["orbit test"] += 1
+    searches, want = SEARCHES[degree_set, n_max]
+    assert len(searched) == searches
+    assert dict(verdicts) == want

@@ -314,6 +314,13 @@ def test_constant_guards():
         lift_constant(2, kind="bushes")
 
 
+@pytest.mark.parametrize("m, message", [(2.0, "m = 2.0 is not an int"), (True, "m = True is not an int")])
+def test_constant_refuses_an_order_that_is_not_an_int(m, message):
+    # bool is an int subclass, refused as MultiGraph refuses a bool vertex
+    with pytest.raises(InputError, match=f"^{message}$"):
+        lift_constant(m)
+
+
 # -- the governing inequalities ------------------------------------------
 
 
