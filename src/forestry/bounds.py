@@ -74,6 +74,8 @@ def q_bound(g):
 
 def compare(count, expr):
     """Exact trichotomy of an integer count against a BoundExpr."""
+    if type(count) is not int or count < 0:
+        raise InputError(f"count {count!r} is not a nonnegative int")
     # 198 = 2 * 3^2 * 11, so fold everything onto prime exponents first
     e2 = expr.a + expr.c
     e3 = expr.b + 2 * expr.c

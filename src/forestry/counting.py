@@ -13,11 +13,11 @@ needs no special case.  The cost grows with the Bell number of the
 widest frontier, which the greedy vertex order keeps small.
 
 The order and each vertex's steps come from one pass over the
-adjacency, _plan, which keeps for every vertex the number of its
-neighbours still to enter.  When v enters, an entered neighbour u
-leaves on edge uv exactly when v was the last of them, so that u's
-number drops to 0; v leaves as soon as it enters exactly when its own
-number is already 0.
+adjacency, _plan, which returns them as one list.  It keeps for every
+vertex the number of its neighbours still to enter.  When v enters, an
+entered neighbour u leaves on edge uv exactly when v was the last of
+them, so that u's number drops to 0; v leaves as soon as it enters
+exactly when its own number is already 0.
 
 What one join does to one state depends on nothing but the state, the
 position p that takes the edge and whether p leaves: the other end q
@@ -27,6 +27,9 @@ for every graph, and _join keeps each step in one table for the whole
 process, keyed by (q, p, leaves) and then by the state.  It keeps only
 frontiers of up to TABLE_WIDTH vertices, so the table stays below 3116
 steps however dense the input; a wider state is worked out each time.
+The step that gives the entering vertex its own block is read the same
+way from _ENTRIES, keyed by the state before it: only states narrower
+than TABLE_WIDTH are kept, at most 76 of them.
 
 A spanning tree is a spanning forest with one block, so count_trees
 runs the same program on connected input and drops a state once a block
@@ -60,6 +63,18 @@ BRUTE_FORCE_CAP = 24
 # for a width of 6, 15394 for 7.
 TABLE_WIDTH = 6
 _STEPS = {}  # (q, p, leaves) -> {state: (merged state or None, kept state, closes)}
+
+
+# state -> the state with the entering vertex's singleton block added.  _count
+# reads it only for states narrower than TABLE_WIDTH, so it holds at most the
+# sum over w < TABLE_WIDTH of Bell(w) entries: 76 for a width of 6.
+class _Entries(dict):
+    def __missing__(self, s):
+        t = self[s] = s + (max(s) + 1 if s else 0,)
+        return t
+
+
+_ENTRIES = _Entries()
 
 
 class MemoCache:
@@ -117,7 +132,7 @@ def _cached(cache, kind, g):
 
 
 def _plan(adj):
-    """Yield (v, earlier, leaves) for each vertex v in the greedy order.
+    """[(v, earlier, leaves)] for each vertex v in the greedy order.
 
     earlier holds a (u, u leaves on edge uv) pair for each neighbour u
     entered before v, the leaving ones first so that the state table
@@ -139,14 +154,14 @@ def _plan(adj):
     rank = [n] * n  # entry position; n while unentered
     starts = iter(sorted(range(n), key=waiting.__getitem__))
     heap = []
+    plan = []
     for i in range(n):
         while heap and rank[heap[0][2]] < n:
             heappop(heap)
         v = heappop(heap)[2] if heap else next(s for s in starts if rank[s] == n)
         rank[v] = i
         fresh = []
-        gone = []
-        kept = []
+        earlier = []
         if waiting[v] == 1:
             # v's one unentered neighbour takes it off the frontier
             leaving[rest[v]] += 1
@@ -155,19 +170,17 @@ def _plan(adj):
             rest[w] -= v
             if rank[w] == n:
                 fresh.append(w)
-            elif k == 0:  # v was w's last unentered neighbour
-                gone.append(w)
             else:
-                kept.append(w)
+                earlier.append((w, k == 0))  # w leaves if v was its last unentered neighbour
                 if k == 1:
                     z = rest[w]
                     leaving[z] += 1
                     fresh.append(z)
         for w in fresh:
             heappush(heap, ((waiting[w] > 0) - leaving[w], waiting[w], w))
-        gone.sort(key=rank.__getitem__)
-        kept.sort(key=rank.__getitem__)
-        yield v, [(u, True) for u in gone] + [(u, False) for u in kept], waiting[v] == 0
+        earlier.sort(key=lambda e: (not e[1], rank[e[0]]))
+        plan.append((v, earlier, waiting[v] == 0))
+    return plan
 
 
 def _count(g, trees):
@@ -177,9 +190,12 @@ def _count(g, trees):
     frontier = []
     states = {(): 1}
     for v, earlier, leaves_now in _plan(adj):
+        q = len(frontier)
+        if q < TABLE_WIDTH:
+            states = {_ENTRIES[s]: c for s, c in states.items()}
+        else:
+            states = {s + (max(s) + 1,): c for s, c in states.items()}
         frontier.append(v)
-        q = len(frontier) - 1
-        states = {s + (max(s) + 1 if s else 0,): c for s, c in states.items()}
         for u, leaves in earlier:
             p = frontier.index(u)
             states = _join(states, p, q, adj[v][u], leaves, trees)

@@ -123,6 +123,8 @@ def family_levels(degree_set, n_max):
     """
     ds = _family(degree_set)
     limit = DEFAULT_FAMILY_CAPS[ds]
+    if type(n_max) is not int:
+        raise InputError("order %r is not an int" % (n_max,))
     if n_max < 3:
         raise InputError("the families start at 3 vertices")
     if n_max > limit:

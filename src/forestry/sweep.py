@@ -2,12 +2,14 @@
 
 A sweep walks every graph of one family up to a chosen order, compares
 its forest count against the family's lower bound, and appends one JSON
-line per graph to a store file.  A rerun can skip the stored graphs; their
-stored verdicts count as if checked again.  The sweep fails loudly if the
+line per graph to a store file, each line as one binary append.  A rerun
+can skip the stored graphs; their stored verdicts count as if checked
+again.  The sweep fails loudly if the
 set of violating graphs is anything other than the known exceptional
 ones, since that can only mean a generator or counting defect.
 """
 
+import os
 import time
 from typing import NamedTuple
 
@@ -124,10 +126,19 @@ def parse_record(line):
     return record
 
 
+def _check_store(store):
+    # open() would take an int for a file descriptor and close it after
+    if not isinstance(store, (str, os.PathLike)):
+        raise InputError("store %r is not a path" % (store,))
+
+
 def run_store_append(store, record):
+    """Append record's line to the store as one binary write."""
+    _check_store(store)
+    data = (record_line(record) + "\n").encode()
     try:
-        with open(store, "a", encoding="utf-8") as fh:
-            fh.write(record_line(record) + "\n")
+        with open(store, "ab") as fh:
+            fh.write(data)
     except OSError as exc:
         raise IoError("cannot append to %s: %s" % (store, exc))
 
@@ -141,6 +152,7 @@ def run_store_resume(store, family=None):
     """
     import logging
 
+    _check_store(store)
     log = logging.getLogger(__name__)
     done = {}
     try:
@@ -175,6 +187,8 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     log = logging.getLogger(__name__)
     if theorem not in THEOREMS:
         raise InputError("theorem must be one of %s" % sorted(THEOREMS))
+    if store is not None:
+        _check_store(store)
     if resume and not store:
         raise InputError("resume needs a store to resume from")
     degree_set, family, bound_fn, exceptional = THEOREMS[theorem]

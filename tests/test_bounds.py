@@ -127,6 +127,16 @@ def test_compare_is_exact_near_the_boundary():
     assert compare(1, BoundExpr(0, 0, 0, 1)) == EQUAL
 
 
+@pytest.mark.parametrize("count", [-328, 328.0, True, "328", None, Fraction(328)])
+def test_compare_refuses_a_count_that_is_not_a_nonnegative_int(count):
+    # -328 ** 4 is 328 ** 4, so a negative count would compare as a positive one
+    k33 = p_bound(complete_bipartite(3, 3))
+    assert compare(328, k33) == GREATER
+    refused = f"^count {re.escape(repr(count))} is not a nonnegative int$"
+    with pytest.raises(InputError, match=refused):
+        compare(count, k33)
+
+
 def test_bound_text():
     assert str(BoundExpr(12, 4, 0, 4)) == "2^12 3^4 / 4"
     assert str(BoundExpr(-8, 0, 12, 10)) == "2^-8 198^12 / 10"

@@ -480,6 +480,33 @@ def test_the_plan_reads_each_step_off_the_waiting_counts(g):
     assert join.call_count == len(list(g.bundles())) + sum(leaves for _, _, leaves in plan)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_glued_parts_count_as_the_product_of_their_counts(seed):
+    # a cut vertex or a bridge splits each forest and each tree into one per
+    # part; a forest may take a bridge or not, and every tree takes it
+    rng = random.Random(seed)
+    n, edges = 0, []
+    forests = trees = 1
+    # at most 56 edges; seeds 0-199 reach 43, and a quarter pass BRUTE_FORCE_CAP
+    for i in range(3):
+        part = rand_multigraph(rng, max_n=7, max_edges=18, connected=True)
+        forests *= count_forests(part)
+        trees *= count_trees(part)
+        names = list(range(n, n + part.n))
+        if i > 0 and rng.random() < 0.5:
+            names = [rng.randrange(n)] + names[:-1]  # the part's vertex 0 is an old vertex
+        elif i > 0:
+            edges.append((rng.randrange(n), n))  # a bridge to the part's vertex 0
+            forests *= 2
+        edges += [(names[u], names[v]) for u, v in part.edge_list()]
+        n = max(n, names[-1] + 1)
+    relabel = rng.sample(range(n), n)
+    g = from_edge_list(n, [(relabel[u], relabel[v]) for u, v in edges])
+    assert count_forests(g) == forests
+    assert count_trees(g) == trees
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30))
 def test_trees_match_kirchhoff_past_the_subset_oracle(seed):
@@ -492,8 +519,10 @@ def test_trees_match_kirchhoff_past_the_subset_oracle(seed):
 @given(multigraphs(), multigraphs())
 def test_a_warm_step_table_counts_as_an_empty_one(g, h):
     counting._STEPS.clear()
+    counting._ENTRIES.clear()
     cold_g, warm_h = count_forests(g), count_forests(h)
     counting._STEPS.clear()
+    counting._ENTRIES.clear()
     cold_h, warm_g = count_forests(h), count_forests(g)
     assert cold_g == warm_g == forests_by_subsets(g)
     assert cold_h == warm_h == forests_by_subsets(h)
@@ -507,6 +536,7 @@ def test_the_step_table_keeps_to_its_width_and_size():
     assert (most_steps(6), most_steps(7)) == (3116, 15394)  # as counting.py states
     width = counting.TABLE_WIDTH
     counting._STEPS.clear()
+    counting._ENTRIES.clear()
     # K10's frontier grows past the width; the ladder's stays narrow for 400 vertices
     for g in (complete_graph(10), grid(2, 200), grid(7, 7)):
         count_forests(g)
@@ -514,3 +544,9 @@ def test_the_step_table_keeps_to_its_width_and_size():
     assert max(map(len, states)) == width
     assert all(q < width for q, _, _ in counting._STEPS)
     assert len(states) <= most_steps(width)
+    # the entry table keeps only the states narrower than the width
+    entries = counting._ENTRIES
+    assert sum(bell(w) for w in range(width)) == 76  # as counting.py states
+    assert 0 < len(entries) <= 76
+    assert max(map(len, entries)) == width - 1
+    assert all(t == s + (len(set(s)),) for s, t in entries.items())

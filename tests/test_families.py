@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -159,6 +160,15 @@ def test_guards():
         list(enumerate_family(13, {2, 3}))
     with pytest.raises(InputError, match="^order 10 exceeds the cap of 9$"):
         list(enumerate_family(10, {2, 3, 4}))
+
+
+@pytest.mark.parametrize("order", ["9", None, 5.0, True])
+def test_an_order_that_is_not_an_int_is_refused(order):
+    refused = f"^order {re.escape(repr(order))} is not an int$"
+    with pytest.raises(InputError, match=refused):
+        list(family_levels({2, 3}, order))
+    with pytest.raises(InputError, match=refused):
+        list(enumerate_family(order, {2, 3, 4}))
 
 
 # sha256 of every level's edge lists: the README says a representative

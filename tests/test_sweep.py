@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import re
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from forestry import canonical_key, catalog_entry
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
-from forestry.errors import CheckFailed, CorruptRecord, IoError
+from forestry.errors import CheckFailed, CorruptRecord, InputError, IoError
 from forestry.sweep import (
     RECORD_VERSION,
     THEOREMS,
@@ -79,6 +80,24 @@ def test_store_contents_round_trip(tmp_path):
         assert raw["forests"] == str(record.forests)
         seen_exception += record.exception
     assert seen_exception == 1  # K4 and nothing else
+
+
+def test_the_store_holds_exactly_the_appended_record_lines(tmp_path, monkeypatch):
+    import forestry.sweep as sweep_mod
+
+    # the sweep appends through the module's global, one call per checked member
+    records = []
+    append = sweep_mod.run_store_append
+
+    def spy(store, record):
+        records.append(record)
+        append(store, record)
+
+    monkeypatch.setattr(sweep_mod, "run_store_append", spy)
+    store = tmp_path / "t2.jsonl"
+    summary = sweep_theorem("T2", 6, store=store)
+    assert len(records) == summary.checked == 53
+    assert store.read_bytes() == "".join(record_line(r) + "\n" for r in records).encode()
 
 
 def test_resume_skips_what_is_already_stored(tmp_path):
@@ -284,9 +303,40 @@ def test_parse_record_takes_the_family_tags_from_the_theorems(monkeypatch):
     assert parse_record(tagged).family == "2345"
 
 
-def test_append_to_unwritable_location_raises():
-    with pytest.raises(IoError):
+def test_append_to_unwritable_location_raises(tmp_path):
+    with pytest.raises(IoError, match="^cannot append to /no/such/directory/runs.jsonl: "):
         run_store_append("/no/such/directory/runs.jsonl", make_record())
+    # a directory cannot be opened for appending, and the sweep passes that on
+    with pytest.raises(IoError, match=f"^cannot append to {re.escape(str(tmp_path))}: "):
+        run_store_append(tmp_path, make_record())
+    with pytest.raises(IoError, match=f"^cannot append to {re.escape(str(tmp_path))}: "):
+        sweep_theorem("T1", 4, store=tmp_path)
+
+
+@pytest.mark.parametrize("store", [1, 2, 0, True, 2.0, b"runs.jsonl"])
+def test_a_store_that_is_not_a_path_is_refused_before_any_work(store, monkeypatch):
+    # open() takes an int for a file descriptor, and closes it when done
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("forestry.sweep.family_levels", never)
+    refused = f"^store {re.escape(repr(store))} is not a path$"
+    with pytest.raises(InputError, match=refused):
+        sweep_theorem("T1", 4, store=store)
+    with pytest.raises(InputError, match=refused):
+        sweep_theorem("T1", 4, store=store, resume=True)
+    with pytest.raises(InputError, match=refused):
+        run_store_append(store, make_record())
+    with pytest.raises(InputError, match=refused):
+        run_store_resume(store)
+    for fd in (1, 2):
+        os.fstat(fd)  # raises when the descriptor was closed
+
+
+@pytest.mark.parametrize("n_max", ["9", None, 5.0, True])
+def test_an_order_that_is_not_an_int_is_refused(n_max):
+    with pytest.raises(InputError, match=f"^order {re.escape(repr(n_max))} is not an int$"):
+        sweep_theorem("T1", n_max)
 
 
 def test_unknown_theorem_rejected():
