@@ -45,8 +45,11 @@ def _refine(adj, cells, touched, simple):
     return cells
 
 
-def _simple(adj):
-    return all(t == 1 for row in adj for t in row.values())
+def _simple(adj, cells):
+    """Whether adj has no parallel edges, read off cells that refine its
+    multiplicity profiles in sorted order: a profile with a multiplicity
+    above 1 sorts after every all-ones profile, so the last cell shows it."""
+    return not cells or max(adj[cells[-1][0]].values(), default=1) == 1
 
 
 def _root(adj):
@@ -56,7 +59,7 @@ def _root(adj):
     cells = [[x[1] for x in run] for _, run in groupby(profiles, lambda x: x[0])]
     largest = max(range(len(cells)), key=lambda i: (len(cells[i]), i), default=0)
     touched = [w for i, cell in enumerate(cells) if i != largest for v in cell for w in adj[v]]
-    return _refine(adj, cells, touched, _simple(adj))
+    return _refine(adj, cells, touched, _simple(adj, cells))
 
 
 def _serialize(n, adj, order):
@@ -93,7 +96,7 @@ def _search(n, adj, cells):
     gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
-    simple = _simple(adj)
+    simple = _simple(adj, cells)
     t = 0  # the cells before the parent's target cell are singletons
     while True:
         if len(cells) < n:

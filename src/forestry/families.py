@@ -10,7 +10,8 @@ graph stays connected and within the degree bound.
 Acceptance.  The canonical deletion vertex v(C) of a connected graph C
 is, among its non-cut vertices with the least invariant (degree, sorted
 neighbour degrees), the one first in C's canonical order.  A parent
-offers one hook per orbit of its automorphism group.  A child is
+offers one hook per orbit of its automorphism group, bar the orbits
+whose children are surely rejected (see Pruning).  A child is
 rejected at once when some non-cut vertex has a smaller invariant than
 the new vertex, accepted without a tie-break when the new vertex alone
 holds the least invariant, and otherwise accepted only when the new
@@ -39,6 +40,16 @@ vertices, and once it holds for remaining >= 1 it holds for every larger
 remaining.  Every graph on the canonical chain of a member of order k is
 an induced subgraph of it, so it passes at k minus its order, and hence
 at the sweep's largest order: pruning never cuts a member's chain.
+Each parent also gets one cut table, the components of the parent less
+each vertex, and a hook of k vertices must hold every non-cut parent
+vertex of degree below k.  Outside the hook such a vertex keeps its
+degree, below the new vertex's k, and stays non-cut, since the child
+less it is the connected parent less it plus the new vertex on its hook;
+so it beats the new vertex and the child would be rejected.  Degree and
+cutting are invariants, so the hooks kept are whole orbits, and each
+orbit keeps its first hook.  The table also answers the tie check's cut
+test: the child less u is connected when the hook, u aside, meets every
+component of the parent less u.
 
 Order limit.  DEFAULT_FAMILY_CAPS fixes the largest order of each family,
 12 for {2, 3} and 9 for {2, 3, 4}, where the theorem sweeps are pinned;
@@ -49,17 +60,24 @@ from itertools import combinations
 
 from .canon import _root
 from .errors import InputError
-from .multigraph import MultiGraph, _components, _derive, canonical_search
+from .multigraph import MultiGraph, _components, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
 
-def _family(degree_set):
+def _checked(degree_set, n_max):
+    """The family's largest degree, once the degree set and the order pass."""
     ds = frozenset(degree_set)
     if ds not in DEFAULT_FAMILY_CAPS:
         raise InputError("supported degree sets are {2,3} and {2,3,4}, not %r"
                          % sorted(set(degree_set)))
-    return ds
+    if type(n_max) is not int:
+        raise InputError("order %r is not an int" % (n_max,))
+    if n_max < 3:
+        raise InputError("the families start at 3 vertices")
+    if n_max > DEFAULT_FAMILY_CAPS[ds]:
+        raise InputError("order %d exceeds the cap of %d" % (n_max, DEFAULT_FAMILY_CAPS[ds]))
+    return max(ds)
 
 
 def _can_still_grow(degrees, remaining, dmax):
@@ -85,20 +103,38 @@ def _orbit(points, gens):
     return orbit
 
 
-def _hooks(open_slots, dmax, gens):
-    """One hook of at most dmax open slots per orbit of the gens' group."""
+def _hooks(open_slots, dmax, gens, required):
+    """One hook of at most dmax open slots per orbit of the gens' group; a
+    hook of k slots holds required[k]."""
     for k in range(1, dmax + 1):
         offered = set()
         for hook in combinations(open_slots, k):
-            if hook not in offered:
-                offered |= _orbit(hook, gens)
+            if hook not in offered and required[k].issubset(hook):
+                if gens:
+                    offered |= _orbit(hook, gens)
                 yield hook
 
 
-def _ties(nbrs, degrees):
+def _cuts(nbrs, dmax):
+    """A parent's cut table, per vertex u the number of components of the
+    parent less u and each vertex's component index there, and per hook
+    size k the vertices a hook must hold (see Pruning)."""
+    table = []
+    for u in range(len(nbrs)):
+        comps = _components(nbrs, u)
+        table.append((len(comps), {v: i for i, comp in enumerate(comps) for v in comp}))
+    required = [frozenset([u for u, row in enumerate(nbrs) if len(row) < k and table[u][0] <= 1])
+                for k in range(dmax + 1)]
+    return table, required
+
+
+def _ties(nbrs, degrees, cuts):
     """The other non-cut vertices whose invariant equals the last vertex's,
-    or None when one has a smaller invariant.  Degree-1 vertices never cut."""
+    or None when one has a smaller invariant.  cuts is the parent's table:
+    the new vertex joins the parts of the parent less u that its hook meets,
+    so u does not cut the child when the hook, u aside, meets them all."""
     new = len(nbrs) - 1
+    hook = nbrs[new]
 
     def invariant(v):
         return degrees[v], sorted([degrees[w] for w in nbrs[v]])
@@ -108,10 +144,12 @@ def _ties(nbrs, degrees):
     for u in range(new):
         if degrees[u] <= least[0]:
             x = invariant(u)
-            if x <= least and (degrees[u] == 1 or len(_components(nbrs, u, 1)) == 1):
-                if x < least:
-                    return None
-                ties.append(u)
+            if x <= least:
+                parts, side = cuts[u]
+                if len({side[v] for v in hook if v != u}) == parts:
+                    if x < least:
+                        return None
+                    ties.append(u)
     return ties
 
 
@@ -121,24 +159,17 @@ def family_levels(degree_set, n_max):
     Members are sorted by canonical key; each list holds exactly one
     representative per isomorphism class at that order.
     """
-    ds = _family(degree_set)
-    limit = DEFAULT_FAMILY_CAPS[ds]
-    if type(n_max) is not int:
-        raise InputError("order %r is not an int" % (n_max,))
-    if n_max < 3:
-        raise InputError("the families start at 3 vertices")
-    if n_max > limit:
-        raise InputError("order %d exceeds the cap of %d" % (n_max, limit))
-    dmax = max(ds)
-    # (graph, neighbour lists, degrees, automorphism generators)
-    parents = [(MultiGraph(1), [()], [0], [])]
+    dmax = _checked(degree_set, n_max)
+    # (neighbour lists, degrees, automorphism generators)
+    parents = [([()], [0], [])]
     for n in range(2, n_max + 1):
         new = n - 1
         members = []
         grown = []
-        for g, nbrs, degrees, gens in parents:
-            open_slots = [v for v in range(g.n) if degrees[v] < dmax]
-            for hook in _hooks(open_slots, dmax, gens):
+        for nbrs, degrees, gens in parents:
+            cuts, required = _cuts(nbrs, dmax)
+            open_slots = [v for v in range(new) if degrees[v] < dmax]
+            for hook in _hooks(open_slots, dmax, gens, required):
                 child_degrees = degrees + [len(hook)]
                 for v in hook:
                     child_degrees[v] += 1
@@ -152,10 +183,12 @@ def family_levels(degree_set, n_max):
                 child_nbrs = nbrs + [hook]
                 for v in hook:
                     child_nbrs[v] += (new,)
-                ties = _ties(child_nbrs, child_degrees)
+                ties = _ties(child_nbrs, child_degrees, cuts)
                 if ties is None:
                     continue
-                child = _derive(g, n, range(new), [(v, new) for v in hook])
+                # the new vertex has the largest id, so every row stays ascending
+                child = MultiGraph(n)
+                child._adj = [dict.fromkeys(row, 1) for row in child_nbrs]
                 cells = _root(child._adj)
                 if ties:
                     at = {v: i for i, cell in enumerate(cells) for v in cell}
@@ -170,7 +203,7 @@ def family_levels(degree_set, n_max):
                 if done:
                     members.append((key, child))
                 if keep:
-                    grown.append((child, child_nbrs, child_degrees, child_gens))
+                    grown.append((child_nbrs, child_degrees, child_gens))
         parents = grown
         if n >= 3:
             members.sort(key=lambda member: member[0])
@@ -178,7 +211,8 @@ def family_levels(degree_set, n_max):
 
 
 def enumerate_family(n, degree_set):
-    """Stream one graph per isomorphism class of order n, sorted by key."""
-    for order, members in family_levels(degree_set, n):
-        if order == n:
-            yield from members
+    """Stream one graph per isomorphism class of order n, sorted by key.
+
+    The arguments are checked at the call, not at the first graph."""
+    _checked(degree_set, n)
+    return (g for order, members in family_levels(degree_set, n) if order == n for g in members)

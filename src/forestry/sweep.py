@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .bounds import EQUAL, LESS, compare, p_bound, q_bound
 from .counting import count_forests
 from .errors import CheckFailed, CorruptRecord, InputError, IoError
-from .families import family_levels
+from .families import _checked, family_levels
 from .multigraph import canonical_key
 from .named import catalog_entry
 
@@ -192,6 +192,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     if resume and not store:
         raise InputError("resume needs a store to resume from")
     degree_set, family, bound_fn, exceptional = THEOREMS[theorem]
+    _checked(degree_set, n_max)  # a bad order is refused before the store is read
     expected = {
         canonical_key(catalog_entry(name).graph): (order, name)
         for order, name in exceptional

@@ -234,6 +234,40 @@ def reference_family_levels(degree_set, n_max):
     return levels
 
 
+def reference_ties(nbrs, degrees):
+    """The rule families._ties follows, with one search per candidate.
+
+    nbrs and degrees describe a connected simple graph whose last vertex is
+    new.  Returns the other non-cut vertices whose invariant (degree, sorted
+    neighbour degrees) equals the new vertex's, or None when one has a
+    smaller invariant; each candidate's cut test searches the graph less it.
+    """
+    new = len(nbrs) - 1
+
+    def invariant(v):
+        return degrees[v], sorted(degrees[w] for w in nbrs[v])
+
+    def cuts(u):
+        seen = {u, new}
+        queue = [new]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) < len(nbrs)
+
+    least = invariant(new)
+    ties = []
+    for u in range(new):
+        x = invariant(u)
+        if x <= least and not cuts(u):
+            if x < least:
+                return None
+            ties.append(u)
+    return ties
+
+
 def component_count(g, skip=None):
     """Components of g, less vertex skip, by union-find over its edge copies."""
     parent = list(range(g.n))

@@ -201,12 +201,14 @@ def test_every_multigraph_on_four_vertices_matches_the_reference():
 def _assert_root_matches_the_unit_refinement(adj):
     cells = canon._root(adj)
     assert cells == reference_root(adj)
+    # simpleness is read off the last root cell, not a scan of every row
+    assert canon._simple(adj, cells) == all(t == 1 for row in adj for t in row.values())
     # past the root, a simple graph is signed on bare colours; individualize
     # each vertex of the first nontrivial cell and refine against the pairs
     t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
     for w in cells[t] if t is not None else ():
         split = cells[:t] + [[w], [v for v in cells[t] if v != w]] + cells[t + 1 :]
-        got = canon._refine(adj, split, adj[w], canon._simple(adj))
+        got = canon._refine(adj, split, adj[w], canon._simple(adj, cells))
         assert got == reference_refine_cells(adj, split, adj[w])
 
 

@@ -9,7 +9,7 @@ from forestry import canon, canonical_key, catalog_entry, families, from_edge_li
 from forestry.errors import InputError
 from forestry.families import enumerate_family, family_levels
 
-from oracles import complete_graph, cycle_graph, reference_family_levels
+from oracles import complete_graph, cycle_graph, reference_family_levels, reference_ties
 
 
 def keys_of(graphs):
@@ -202,8 +202,8 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
     searched = []
     ties, search = families._ties, families.canonical_search
 
-    def recording_ties(nbrs, degrees):
-        found = ties(nbrs, degrees)
+    def recording_ties(nbrs, degrees, cuts):
+        found = ties(nbrs, degrees, cuts)
         if found:
             tied.append((nbrs, found))
         return found
@@ -239,3 +239,66 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
     searches, want = SEARCHES[degree_set, n_max]
     assert len(searched) == searches
     assert dict(verdicts) == want
+
+
+# (degree set, largest order): hooks offered, and the children of those
+# hooks that reach the tie check
+WORK = {
+    ((2, 3), 9): (1461, 905),
+    ((2, 3, 4), 7): (766, 531),
+}
+
+
+@pytest.mark.parametrize("degree_set, n_max", sorted(WORK))
+def test_the_generation_work_is_pinned(monkeypatch, degree_set, n_max):
+    work = Counter()
+    hooks, ties = families._hooks, families._ties
+
+    def counting_hooks(*args):
+        for hook in hooks(*args):
+            work["hooks"] += 1
+            yield hook
+
+    def counting_ties(*args):
+        work["ties"] += 1
+        return ties(*args)
+
+    monkeypatch.setattr(families, "_hooks", counting_hooks)
+    monkeypatch.setattr(families, "_ties", counting_ties)
+    for _ in family_levels(degree_set, n_max):
+        pass
+    assert (work["hooks"], work["ties"]) == WORK[degree_set, n_max]
+
+
+@pytest.mark.parametrize("degree_set, n_max", sorted(WORK))
+def test_the_hook_filter_and_the_cut_table_follow_the_tie_rule(monkeypatch, degree_set, n_max):
+    parents = []  # (neighbour lists, cut table, required hook vertices) per parent
+    cuts = families._cuts
+
+    def recording_cuts(nbrs, dmax):
+        table, required = cuts(nbrs, dmax)
+        parents.append((nbrs, table, required))
+        return table, required
+
+    monkeypatch.setattr(families, "_cuts", recording_cuts)
+    for _ in family_levels(degree_set, n_max):
+        pass
+    dmax = max(degree_set)
+    skipped = kept = 0
+    for nbrs, table, required in parents:
+        new = len(nbrs)
+        open_slots = [v for v in range(new) if len(nbrs[v]) < dmax]
+        # every hook, not one per orbit, finished or not
+        for k in range(1, dmax + 1):
+            for hook in combinations(open_slots, k):
+                child_nbrs = [row + (new,) if v in hook else row for v, row in enumerate(nbrs)]
+                child_nbrs.append(hook)
+                degrees = [len(row) for row in child_nbrs]
+                want = reference_ties(child_nbrs, degrees)
+                if required[k] <= set(hook):
+                    assert families._ties(child_nbrs, degrees, table) == want
+                    kept += 1
+                else:
+                    assert want is None
+                    skipped += 1
+    assert skipped and kept  # both sides of the filter are checked

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from forestry import canonical_key, catalog_entry
 from forestry.bounds import EQUAL, GREATER, LESS, BoundExpr
 from forestry.errors import CheckFailed, CorruptRecord, InputError, IoError
+from forestry.families import enumerate_family
 from forestry.sweep import (
     RECORD_VERSION,
     THEOREMS,
@@ -120,6 +121,23 @@ def test_resume_without_a_store_is_refused(monkeypatch):
     monkeypatch.setattr("forestry.sweep.family_levels", never)
     with pytest.raises(ValueError, match="store"):
         sweep_theorem("T1", 5, resume=True)
+
+
+def test_a_bad_order_is_refused_before_the_store_is_read(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the store was read")
+
+    monkeypatch.setattr("forestry.sweep.run_store_resume", never)
+    store = tmp_path / "t1.jsonl"
+    for order, refused in (("9", "^order '9' is not an int$"),
+                           (13, "^order 13 exceeds the cap of 12$")):
+        with pytest.raises(InputError, match=refused):
+            sweep_theorem("T1", order, store=store, resume=True)
+    # enumerate_family checks its arguments at the call, not at the first graph
+    with pytest.raises(InputError, match="^order 13 exceeds the cap of 12$"):
+        enumerate_family(13, {2, 3})
+    with pytest.raises(InputError, match="^supported degree sets are"):
+        enumerate_family(4, {2, 5})
 
 
 def test_resume_keeps_stored_outcomes(tmp_path):
