@@ -10,26 +10,33 @@ sequences d_1..d_k summing to 2m and all connected loopless multigraphs
 X with those degrees (kind "trees" uses prod(d_i) / tau(X) instead).
 The minimum governs how much the forest or tree count can shrink under
 a complete lift.
+
+Lifts and constants both pair up the ends of a pattern: x's edge
+multiplicities, or a degree sequence.  The process-wide table _PAIRINGS holds
+each pattern of at most TABLE_ENDS ends (42, no graphs); wider ones are searched
+lazily, so enumerate_lifts can refuse over MAX_LIFTS lifts before building one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from typing import NamedTuple
 
 from .counting import count_forests, count_trees
 from .errors import InputError
-from .multigraph import (
-    MultiGraph,
-    _components,
-    _derive,
-    canonical_key,
-    from_edge_list,
-    is_connected,
-)
+from .multigraph import MultiGraph, _components, _derive_each, canonical_key, is_connected
 
 DEFAULT_CONSTANT_CAP = 5
+# enumerate_lifts refuses a centre with more lifts than this, the pairings
+# of 12 distinct ends: every centre of degree at most 12 is accepted, and
+# so are the stars K1,2 to K1,12, but not K1,14 (135135 lifts) and larger.
+MAX_LIFTS = 10395
+# _PAIRINGS keeps the patterns of at most this many ends.  There are 2^(e-1)
+# patterns (compositions) of e ends, so it holds at most 2 + 8 + 32 = 42
+# entries, each of at most 5 * 3 * 1 = 15 pairings.
+TABLE_ENDS = 6
 
 
 class LiftConstant(NamedTuple):
@@ -47,39 +54,58 @@ def _half_degree(g, x):
     return d // 2
 
 
-def _endpoint_multiset(g, x):
-    """The ends of x's edges, sorted: each neighbor once per parallel copy."""
-    out = []
-    for y, t in g._adj[x].items():  # rows are ascending
-        out += [y] * t
-    return out
+def _work_out(pattern):
+    """The pairings of pattern, found one at a time by a search without recursion.
 
-
-def _pairings(ends):
-    """Each pairing of the sorted list ends once, as a sorted tuple of pairs.
-
-    No pair joins two equal ends.  Pairings come out in lexicographic order.
+    Each pair takes the least index a with ends left and the least partner b > a
+    not below a's last one.  A branch stops once the ends left cannot pair, and
+    the last pair, which has no choice, is yielded without being placed.
     """
-
-    def rec(rest, acc):
-        if not rest:
-            yield tuple(acc)
-            return
-        a = rest[0]
-        # a pair repeating the previous first end takes no smaller partner,
-        # so every multiset of pairs is built in sorted order only
-        low = acc[-1][1] if acc and acc[-1][0] == a else a
-        last = None
-        for i in range(1, len(rest)):
-            b = rest[i]
-            if b == a or b == last or b < low:
-                continue
-            last = b
+    counts, k, acc, left = list(pattern), len(pattern), [], sum(pattern)
+    if 2 * max(counts, default=0) > left:
+        return
+    if not left:
+        yield ()
+        return
+    a, b = 0, 1
+    while True:
+        while not counts[a]:  # an end is left at a or above it
+            a, b = a + 1, a + 2
+        while b < k and not counts[b]:
+            b += 1
+        if b < k and left == 2:
+            yield (*acc, (a, b))
+        elif b < k:
+            counts[a] -= 1
+            counts[b] -= 1
+            left -= 2
             acc.append((a, b))
-            yield from rec(rest[1:i] + rest[i + 1 :], acc)
-            acc.pop()
+            # once a is out, every end left is above it
+            if counts[a] or 2 * max(counts[a + 1 :]) <= left:
+                continue
+        if not acc:
+            return
+        a, b = acc.pop()  # back up: undo the last pair, try a's next partner
+        counts[a] += 1
+        counts[b] += 1
+        left += 2
+        b += 1
 
-    return rec(ends, [])
+
+class _Table(dict):
+    def __missing__(self, pattern):
+        found = _work_out(pattern)
+        if min(pattern, default=0) > 0 and sum(pattern) in range(2, TABLE_ENDS + 1, 2):
+            found = self[pattern] = tuple(found)
+        return found
+
+
+_PAIRINGS = _Table()
+
+
+def _pairings(pattern):
+    """Each pairing of pattern[i] ends at each i once: sorted pairs i < j, in order."""
+    return _PAIRINGS[pattern]
 
 
 def lift_feasible_multigraph(g, x):
@@ -101,40 +127,39 @@ def enumerate_lifts(g, x):
 
     pairs is a sorted tuple of pairs of g's ids.  Pairings are multisets of
     pairs (parallel copies of an edge are interchangeable), not isomorphism
-    classes of the result, and come out in lexicographic order.
+    classes of the result, and come out in lexicographic order.  A centre
+    with more than MAX_LIFTS pairings is refused before any lift is built.
     """
     _half_degree(g, x)
+    row = g._adj[x]
+    ys = list(row)  # ascending, so index pairs map to sorted id pairs
+    found = list(islice(_pairings(tuple(row.values())), MAX_LIFTS + 1))
+    if len(found) > MAX_LIFTS:
+        raise InputError(f"vertex {x} has more than {MAX_LIFTS} complete lifts")
+    found = [tuple([(ys[i], ys[j]) for i, j in p]) for p in found]
     # x goes, and the ids above it shift down by one
     vmap = [v - (v > x) if v != x else None for v in range(g.n)]
-    return [
-        (pairs, _derive(g, g.n - 1, vmap, [(vmap[a], vmap[b]) for a, b in pairs]))
-        for pairs in _pairings(_endpoint_multiset(g, x))
-    ]
+    return list(zip(found, _derive_each(g, g.n - 1, vmap, found)))
 
 
-def _partitions(total):
-    # descending partitions of total into positive parts
-    def rec(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-
-    return rec(total, total)
+def _partitions(total, cap=None):
+    # descending partitions of total into positive parts, none above cap
+    if total == 0:
+        yield ()
+    for first in range(min(total, cap or total), 0, -1):
+        for tail in _partitions(total - first, first):
+            yield (first,) + tail
 
 
 def graphs_with_degrees(seq):
     """Connected loopless multigraphs with the given degree sequence, up to iso.
 
-    Each graph is a pairing of the ends, vertex v repeated seq[v] times;
+    Each graph is a pairing of the ends, seq[v] of them at vertex v;
     the first graph of each isomorphism class is kept.
     """
     k = len(seq)
     found = {}
-    for pairing in _pairings([v for v in range(k) for _ in range(seq[v])]):
-        g = from_edge_list(k, pairing)
+    for g in _derive_each(MultiGraph(k), k, range(k), _pairings(tuple(seq))):
         if is_connected(g):
             found.setdefault(canonical_key(g), g)
     return list(found.values())
@@ -149,19 +174,14 @@ def lift_constant(m, kind="forests", cache=None):
     if not 1 <= m <= DEFAULT_CONSTANT_CAP:
         raise InputError(f"m = {m} is outside 1..{DEFAULT_CONSTANT_CAP}")
     best = None
-    best_fields = None
     for seq in _partitions(2 * m):
         for x_graph in graphs_with_degrees(seq):
             if kind == "forests":
-                num = prod(d + 1 for d in seq)
-                den = count_forests(x_graph, cache)
+                value = Fraction(prod(d + 1 for d in seq), count_forests(x_graph, cache))
             else:
-                num = prod(seq)
-                den = count_trees(x_graph, cache)
-            value = Fraction(num, den)
+                value = Fraction(prod(seq), count_trees(x_graph, cache))
             rank = (value, x_graph.n, canonical_key(x_graph))
-            if best is None or rank < best:
-                best = rank
-                best_fields = (value, tuple(seq), x_graph)
-    value, seq, witness = best_fields
-    return LiftConstant(m, kind, value, seq, witness)
+            if best is None or rank < best[0]:
+                best = (rank, seq, x_graph)
+    ((value, _, _), seq, witness) = best
+    return LiftConstant(m, kind, value, tuple(seq), witness)

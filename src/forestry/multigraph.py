@@ -112,15 +112,18 @@ def from_edge_list(n, pairs):
     return _build(n, mults)
 
 
-def _derive(g, n, vmap, extra=()):
-    """The graph on n vertices with g's bundles sent through vmap, plus extra pairs.
+def _derive(g, n, vmap):
+    """The graph on n vertices with g's bundles sent through vmap."""
+    return next(_derive_each(g, n, vmap, [()]))
 
-    vmap[v] is v's new id, or None to drop v with its edges.  Bundles that
-    land on one pair merge, bundles that land on one vertex are dropped,
-    and each extra (u, v) pair, in new ids, adds one copy.  Callers have
-    already checked their arguments.
+
+def _derive_each(g, n, vmap, extras):
+    """Per list of extra pairs, g's bundles plus one copy of each pair, sent through vmap.
+
+    g's bundles are sent once.  vmap[v] is v's new id on n vertices, or None to drop v;
+    bundles landing on one pair merge and those on one vertex go.  Arguments are trusted.
     """
-    mults = {}
+    base = {}
     for u, row in enumerate(g._adj):
         a = vmap[u]
         if a is None:
@@ -130,11 +133,14 @@ def _derive(g, n, vmap, extra=()):
                 b = vmap[v]
                 if b is not None and b != a:
                     key = (a, b) if a < b else (b, a)
-                    mults[key] = mults.get(key, 0) + t
-    for a, b in extra:
-        key = (a, b) if a < b else (b, a)
-        mults[key] = mults.get(key, 0) + 1
-    return _build(n, mults)
+                    base[key] = base.get(key, 0) + t
+    for extra in extras:
+        mults = base.copy()
+        for u, v in extra:
+            a, b = vmap[u], vmap[v]
+            key = (a, b) if a < b else (b, a)
+            mults[key] = mults.get(key, 0) + 1
+        yield _build(n, mults)
 
 
 def delete_edge(g, u, v):

@@ -1,6 +1,8 @@
 import random
+import time
 import typing
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +17,10 @@ from forestry import (
 )
 from forestry.errors import InputError
 from forestry.lifts import (
+    _PAIRINGS,
+    MAX_LIFTS,
+    TABLE_ENDS,
+    _pairings,
     _partitions,
     enumerate_lifts,
     graphs_with_degrees,
@@ -27,6 +33,7 @@ from oracles import (
     cycle_graph,
     path_graph,
     rand_multigraph,
+    rebuild,
     reference_graphs_with_degrees,
     reference_lift_feasible,
 )
@@ -216,6 +223,97 @@ def test_enumerated_plans_are_every_distinct_pairing():
         every = brute_force_pairings(endpoint_multiset(g, x))
         assert [pairs for pairs, _ in enumerate_lifts(g, x)] == every
         done += 1
+
+
+def compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def test_pairings_match_brute_force_for_every_composition():
+    for ends in range(2, 11, 2):
+        for pattern in compositions(ends):
+            listed = [i for i, c in enumerate(pattern) for _ in range(c)]
+            assert list(_pairings(pattern)) == brute_force_pairings(listed), pattern
+
+
+def test_lifts_beyond_the_table_match_brute_force():
+    # centres of degree 8 and 10 have patterns wider than TABLE_ENDS
+    rng = random.Random(44)
+    for degree in (8, 10) * 15:
+        h = rand_multigraph(rng, max_n=6, max_edges=8)
+        g = from_edge_list(h.n + 1, h.edge_list() + [(rng.randrange(h.n), h.n) for _ in range(degree)])
+        x = h.n
+        got = enumerate_lifts(g, x)
+        assert [pairs for pairs, _ in got] == brute_force_pairings(endpoint_multiset(g, x))
+        shift = list(range(h.n)) + [None]
+        for pairs, lifted in got:
+            want = rebuild(g, h.n, shift, pairs)
+            assert lifted == want and list(lifted.bundles()) == list(want.bundles())
+            assert [list(row) for row in lifted._adj] == [sorted(row) for row in lifted._adj]
+
+
+def test_the_pairing_table_stays_bounded():
+    # a criterion-5-style run: every centre joined to up to four vertices
+    # by up to three parallel edges, with even degree up to 6; then wider ones
+    for host in (from_edge_list(k, [(i, i + 1) for i in range(k - 1)]) for k in range(1, 5)):
+        for vec in product(range(4), repeat=host.n):
+            if sum(vec) in (2, 4, 6):
+                edges = host.edge_list() + [(v, host.n) for v, t in enumerate(vec) for _ in range(t)]
+                enumerate_lifts(from_edge_list(host.n + 1, edges), host.n)
+    for pattern in compositions(8):
+        list(_pairings(pattern))
+    assert len(_PAIRINGS) <= 42
+    assert all(0 < sum(pattern) <= TABLE_ENDS for pattern in _PAIRINGS)
+    assert all(len(found) <= 15 for found in _PAIRINGS.values())
+    for ends in (2, 4, 6):
+        for pattern in compositions(ends):
+            _pairings(pattern)
+    assert len(_PAIRINGS) == 42
+
+
+def test_lifted_graphs_share_no_rows():
+    g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 5), (1, 2), (3, 4)])
+    lifts = [lifted for _, lifted in enumerate_lifts(g, 0)]
+    assert len(lifts) == 6
+    rows = [id(row) for h in [g, *lifts] for row in h._adj]
+    assert len(set(rows)) == len(rows)
+    assert len({id(h._adj) for h in [g, *lifts]}) == len(lifts) + 1
+
+
+def test_runaway_enumerations_are_refused(monkeypatch):
+    def star(d):
+        return from_edge_list(d + 1, [(0, i) for i in range(1, d + 1)])
+
+    assert MAX_LIFTS == len(enumerate_lifts(star(12), 0)) == 10395
+
+    def no_build(n, mults):
+        raise AssertionError("a refused centre built a lift")
+
+    refused = [star(14), star(16)]
+    monkeypatch.setattr("forestry.multigraph._build", no_build)
+    for g in refused:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"^vertex 0 has more than {MAX_LIFTS} complete lifts$"):
+            enumerate_lifts(g, 0)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_wide_centres_with_few_lifts_end_at_once():
+    # 2000 ends on two neighbours, past any recursion limit, and 40 ends
+    # whose last neighbour must take every other end: a search that did
+    # not back up early would try every matching of the first 20 ends
+    start = time.perf_counter()
+    ((pairs, lifted),) = enumerate_lifts(from_edge_list(3, [(0, 1), (0, 2)] * 1000), 0)
+    assert pairs == ((1, 2),) * 1000 and list(lifted.bundles()) == [(0, 1, 1000)]
+    wide = from_edge_list(22, [(0, i) for i in range(1, 21)] + [(0, 21)] * 20)
+    ((pairs, lifted),) = enumerate_lifts(wide, 0)
+    assert pairs == tuple((i, 21) for i in range(1, 21))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_feasibility_matches_connected_lift_existence():
