@@ -7,7 +7,8 @@ the byte x % 255) over the leaves of the search tree.
 Refinement makes synchronous passes over an ordered partition whose
 colours are cell positions.  A vertex is signed by its neighbours' sorted
 (colour, multiplicity) pairs, or on a simple graph by their bare sorted
-colours, which sort the same way.  The root's first pass is read off the
+colours, which sort the same way.  A cell splits into one part per
+signature, in signature order.  The root's first pass is read off the
 sorted multiplicities; past it, a pass re-signs only cells next to the
 individualized vertex or to a part, other than a largest one, of a cell
 the last pass split.  Automorphisms prune the search (McKay & Piperno,
@@ -32,11 +33,14 @@ def _refine(adj, cells, touched, simple):
                 colors[v] = i
         split = {}
         for i in {colors[v] for v in touched if len(cells[colors[v]]) > 1}:
-            sig = sorted([(sorted([colors[w] for w in adj[v]] if simple else
-                                  [(colors[w], t) for w, t in adj[v].items()]), v)
-                          for v in cells[i]])
-            if sig[0][0] != sig[-1][0]:
-                split[i] = [[x[1] for x in run] for _, run in groupby(sig, lambda x: x[0])]
+            # cells are ascending, so each part is too
+            parts = {}
+            for v in cells[i]:
+                sig = tuple(sorted([colors[w] for w in adj[v]] if simple else
+                                   [(colors[w], t) for w, t in adj[v].items()]))
+                parts.setdefault(sig, []).append(v)
+            if len(parts) > 1:
+                split[i] = [parts[sig] for sig in sorted(parts)]
         if not split:
             break
         smaller = [part for p in split.values() for part in sorted(p, key=len)[:-1]]

@@ -41,8 +41,9 @@ remaining.  Every graph on the canonical chain of a member of order k is
 an induced subgraph of it, so it passes at k minus its order, and hence
 at the sweep's largest order: pruning never cuts a member's chain.
 Each parent also gets one cut table, the components of the parent less
-each vertex, and a hook of k vertices must hold every non-cut parent
-vertex of degree below k.  Outside the hook such a vertex keeps its
+each cut vertex, from one depth-first pass per parent (Hopcroft &
+Tarjan, CACM 16, 1973), and a hook of k vertices must hold every non-cut
+parent vertex of degree below k.  Outside the hook such a vertex keeps its
 degree, below the new vertex's k, and stays non-cut, since the child
 less it is the connected parent less it plus the new vertex on its hook;
 so it beats the new vertex and the child would be rejected.  Degree and
@@ -60,7 +61,7 @@ from itertools import combinations
 
 from .canon import _root
 from .errors import InputError
-from .multigraph import MultiGraph, _components, canonical_search
+from .multigraph import MultiGraph, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
@@ -116,14 +117,56 @@ def _hooks(open_slots, dmax, gens, required):
 
 
 def _cuts(nbrs, dmax):
-    """A parent's cut table, per vertex u the number of components of the
-    parent less u and each vertex's component index there, and per hook
-    size k the vertices a hook must hold (see Pruning)."""
+    """A connected parent's cut table, and per hook size k the vertices a
+    hook must hold (see Pruning).
+
+    One depth-first pass from vertex 0 gives discovery order, lowpoints
+    and subtree sizes.  The parts of the parent less u are the subtrees of
+    u's tree children c with low[c] >= disc[u], plus the rest of the parent
+    when u is not the root; u cuts the parent when there are two parts or
+    more, and then its entry is (parts, {vertex: part index}).  Every other
+    entry, the lone vertex of K1 included, is None.
+    """
+    n = len(nbrs)
+    disc = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    split = [[] for _ in range(n)]  # per u, its tree children c with low[c] >= disc[u]
+    order = [0]  # the vertices in discovery order
+    disc[0] = 0
+    stack = [(0, iter(nbrs[0]))]
+    while stack:
+        u, rest = stack[-1]
+        for w in rest:
+            if disc[w] < 0:
+                disc[w] = low[w] = len(order)
+                order.append(w)
+                stack.append((w, iter(nbrs[w])))
+                break
+            # the tree edge back to u's parent counts too: it takes low[u]
+            # no lower than disc[parent], which the cut test allows
+            if disc[w] < low[u]:
+                low[u] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                size[p] += size[u]
+                if low[u] >= disc[p]:
+                    split[p].append(u)
+                elif low[u] < low[p]:
+                    low[p] = low[u]
     table = []
-    for u in range(len(nbrs)):
-        comps = _components(nbrs, u)
-        table.append((len(comps), {v: i for i, comp in enumerate(comps) for v in comp}))
-    required = [frozenset([u for u, row in enumerate(nbrs) if len(row) < k and table[u][0] <= 1])
+    for u, below in enumerate(split):
+        parts = len(below) + (u != 0)
+        if parts < 2:
+            table.append(None)
+            continue
+        side = dict.fromkeys(order, len(below))
+        for i, c in enumerate(below):
+            side.update(dict.fromkeys(order[disc[c]:disc[c] + size[c]], i))
+        table.append((parts, side))
+    required = [frozenset([u for u, row in enumerate(nbrs) if len(row) < k and table[u] is None])
                 for k in range(dmax + 1)]
     return table, required
 
@@ -132,7 +175,9 @@ def _ties(nbrs, degrees, cuts):
     """The other non-cut vertices whose invariant equals the last vertex's,
     or None when one has a smaller invariant.  cuts is the parent's table:
     the new vertex joins the parts of the parent less u that its hook meets,
-    so u does not cut the child when the hook, u aside, meets them all."""
+    so u does not cut the child when the hook, u aside, meets them all.  A
+    u that does not cut the parent leaves one part, which a hook holding
+    another vertex meets, or none at all in K1."""
     new = len(nbrs) - 1
     hook = nbrs[new]
 
@@ -145,8 +190,13 @@ def _ties(nbrs, degrees, cuts):
         if degrees[u] <= least[0]:
             x = invariant(u)
             if x <= least:
-                parts, side = cuts[u]
-                if len({side[v] for v in hook if v != u}) == parts:
+                cut = cuts[u]
+                if cut is None:
+                    whole = hook != (u,) or new == 1
+                else:
+                    parts, side = cut
+                    whole = len({side[v] for v in hook if v != u}) == parts
+                if whole:
                     if x < least:
                         return None
                     ties.append(u)

@@ -14,7 +14,8 @@ a complete lift.
 Lifts and constants both pair up the ends of a pattern: x's edge
 multiplicities, or a degree sequence.  The process-wide table _PAIRINGS holds
 each pattern of at most TABLE_ENDS ends (42, no graphs); wider ones are searched
-lazily, so enumerate_lifts can refuse over MAX_LIFTS lifts before building one.
+lazily, so enumerate_lifts can refuse over MAX_LIFTS lifts, or lifts over
+MAX_LIFT_SIZE vertices and bundles in all, before building one.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ from .multigraph import MultiGraph, _components, _derive_each, canonical_key, is
 
 DEFAULT_CONSTANT_CAP = 5
 # enumerate_lifts refuses a centre with more lifts than this, the pairings
-# of 12 distinct ends: every centre of degree at most 12 is accepted, and
-# so are the stars K1,2 to K1,12, but not K1,14 (135135 lifts) and larger.
+# of 12 distinct ends: the stars K1,2 to K1,12 are accepted, but not K1,14
+# (135135 lifts) and larger.
 MAX_LIFTS = 10395
+# enumerate_lifts also refuses a centre whose lifts would hold more than
+# this many vertices and bundles in all, lifts times those of g - x: K1,12
+# holds 10395 * 12 = 124740 (36 MB under tracemalloc, Python 3.11), but a
+# degree-12 centre on a 100-vertex path would hold 10395 * 212 (265 MB).
+MAX_LIFT_SIZE = 2**17
 # _PAIRINGS keeps the patterns of at most this many ends.  There are 2^(e-1)
 # patterns (compositions) of e ends, so it holds at most 2 + 8 + 32 = 42
 # entries, each of at most 5 * 3 * 1 = 15 pairings.
@@ -128,7 +134,9 @@ def enumerate_lifts(g, x):
     pairs is a sorted tuple of pairs of g's ids.  Pairings are multisets of
     pairs (parallel copies of an edge are interchangeable), not isomorphism
     classes of the result, and come out in lexicographic order.  A centre
-    with more than MAX_LIFTS pairings is refused before any lift is built.
+    with more than MAX_LIFTS pairings, or whose lifts would hold more than
+    MAX_LIFT_SIZE vertices and bundles in all, is refused before any lift
+    is built.
     """
     _half_degree(g, x)
     row = g._adj[x]
@@ -136,6 +144,13 @@ def enumerate_lifts(g, x):
     found = list(islice(_pairings(tuple(row.values())), MAX_LIFTS + 1))
     if len(found) > MAX_LIFTS:
         raise InputError(f"vertex {x} has more than {MAX_LIFTS} complete lifts")
+    # each lift holds the vertices and bundles of g - x, at most n(n - 1)/2
+    # of them, so only a large host pays for counting its bundles
+    if len(found) * g.n * (g.n - 1) // 2 > MAX_LIFT_SIZE:
+        size = g.n - 1 + sum(map(len, g._adj)) // 2 - len(row)
+        if len(found) * size > MAX_LIFT_SIZE:
+            raise InputError(f"the complete lifts at vertex {x} would hold more than"
+                             f" {MAX_LIFT_SIZE} vertices and bundles")
     found = [tuple([(ys[i], ys[j]) for i, j in p]) for p in found]
     # x goes, and the ids above it shift down by one
     vmap = [v - (v > x) if v != x else None for v in range(g.n)]

@@ -2,13 +2,16 @@
 
 A sweep walks every graph of one family up to a chosen order, compares
 its forest count against the family's lower bound, and appends one JSON
-line per graph to a store file, each line as one binary append.  A rerun
+line per graph to a store file.  It opens the store for appending once,
+at its first record, and writes each line with one flushed write, so
+every finished line is on disk before the next graph is counted.  A rerun
 can skip the stored graphs; their stored verdicts count as if checked
 again.  The sweep fails loudly if the
 set of violating graphs is anything other than the known exceptional
 ones, since that can only mean a generator or counting defect.
 """
 
+import io
 import os
 import time
 from typing import NamedTuple
@@ -127,20 +130,40 @@ def parse_record(line):
 
 
 def _check_store(store):
-    # open() would take an int for a file descriptor and close it after
-    if not isinstance(store, (str, os.PathLike)):
+    # open() would take an int for a file descriptor and close it after;
+    # "" names no file
+    if not isinstance(store, (str, os.PathLike)) or store == "":
         raise InputError("store %r is not a path" % (store,))
 
 
-def run_store_append(store, record):
-    """Append record's line to the store as one binary write."""
-    _check_store(store)
-    data = (record_line(record) + "\n").encode()
+def _appending(store):
+    """The checked store path opened for binary appends."""
     try:
-        with open(store, "ab") as fh:
-            fh.write(data)
+        return open(store, "ab")
     except OSError as exc:
         raise IoError("cannot append to %s: %s" % (store, exc))
+
+
+def run_store_append(store, record):
+    """Append record's line to the store, a path or an open binary handle.
+
+    A path is opened, written once and closed; a handle is written and
+    flushed, so the whole line is on disk when this returns.
+    """
+    data = (record_line(record) + "\n").encode()
+    if not isinstance(store, io.IOBase):
+        _check_store(store)
+        try:
+            with open(store, "ab") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise IoError("cannot append to %s: %s" % (store, exc))
+        return
+    try:
+        store.write(data)
+        store.flush()
+    except OSError as exc:
+        raise IoError("cannot append to %s: %s" % (store.name, exc))
 
 
 def run_store_resume(store, family=None):
@@ -189,7 +212,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
         raise InputError("theorem must be one of %s" % sorted(THEOREMS))
     if store is not None:
         _check_store(store)
-    if resume and not store:
+    if resume and store is None:
         raise InputError("resume needs a store to resume from")
     degree_set, family, bound_fn, exceptional = THEOREMS[theorem]
     _checked(degree_set, n_max)  # a bad order is refused before the store is read
@@ -203,31 +226,41 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     equalities = []
     outcome = {}
     started = time.perf_counter()
-    for n, members in family_levels(degree_set, n_max):
-        log.info("%s n=%d: %d members generated in %.3f s",
-                 theorem, n, len(members), time.perf_counter() - started)
-        for g in members:
-            key = canonical_key(g)
-            if key in done:
-                skipped += 1
-                verdict = done[key].verdict
-            else:
-                forests = count_forests(g, cache)
-                bound = bound_fn(g)
-                verdict = compare(forests, bound)
-                record = SweepRecord(
-                    family, n, key, forests, str(bound), verdict,
-                    key in expected, _stamp(),
-                )
-                if store:
-                    run_store_append(store, record)
-                checked += 1
-            if verdict == LESS:
-                violations.append((n, key))
-            elif verdict == EQUAL:
-                equalities.append((n, key))
-            outcome[key] = verdict
-        started = time.perf_counter()
+    fh = None  # the store, opened at the first record it takes
+    try:
+        for n, members in family_levels(degree_set, n_max):
+            log.info("%s n=%d: %d members generated in %.3f s",
+                     theorem, n, len(members), time.perf_counter() - started)
+            for g in members:
+                key = canonical_key(g)
+                if key in done:
+                    skipped += 1
+                    verdict = done[key].verdict
+                else:
+                    forests = count_forests(g, cache)
+                    bound = bound_fn(g)
+                    verdict = compare(forests, bound)
+                    record = SweepRecord(
+                        family, n, key, forests, str(bound), verdict,
+                        key in expected, _stamp(),
+                    )
+                    if store is not None:
+                        if fh is None:
+                            fh = _appending(store)
+                        run_store_append(fh, record)
+                    checked += 1
+                if verdict == LESS:
+                    violations.append((n, key))
+                elif verdict == EQUAL:
+                    equalities.append((n, key))
+                outcome[key] = verdict
+            started = time.perf_counter()
+    finally:
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError as exc:  # a line whose flush failed is flushed again
+                raise IoError("cannot append to %s: %s" % (store, exc))
 
     trouble = {}  # key -> message
     for n, key in violations:

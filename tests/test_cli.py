@@ -223,6 +223,13 @@ def test_verify_resume_needs_a_store(cli):
     assert "store" in err
 
 
+def test_verify_refuses_an_empty_store_path(cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = cli("verify", "--theorem", "1", "--max-n", "5", "--store", "")
+    assert (rc, out, err) == (2, "", "error: store '' is not a path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_resume_reports_stored_violations(cli, tmp_path):
     store = str(tmp_path / "t1.jsonl")
     assert cli("verify", "--theorem", "1", "--max-n", "6", "--store", store)[0] == 0

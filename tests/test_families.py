@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from collections import Counter
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from forestry import canon, canonical_key, catalog_entry, families, from_edge_list, is_connected
 from forestry.errors import InputError
 from forestry.families import enumerate_family, family_levels
+from forestry.multigraph import _components
 
 from oracles import complete_graph, cycle_graph, reference_family_levels, reference_ties
 
@@ -302,3 +304,47 @@ def test_the_hook_filter_and_the_cut_table_follow_the_tie_rule(monkeypatch, degr
                     assert want is None
                     skipped += 1
     assert skipped and kept  # both sides of the filter are checked
+
+
+def _connected_rows(rng, n, extra):
+    """Neighbour rows of a random connected simple graph: a random tree on
+    0..n-1 plus up to `extra` random chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(extra):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    rows = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        rows[u].append(v)
+        rows[v].append(u)
+    return [tuple(sorted(row)) for row in rows]
+
+
+def test_the_cut_table_partitions_the_parent_less_each_vertex():
+    def path(n):
+        return [tuple(w for w in (v - 1, v + 1) if 0 <= w < n) for v in range(n)]
+
+    def cycle(n):
+        return [tuple(sorted({(v - 1) % n, (v + 1) % n})) for v in range(n)]
+
+    rng = random.Random(5401)
+    graphs = [[()], [(1,), (0,)]]
+    graphs += [path(n) for n in range(3, 13)] + [cycle(n) for n in range(3, 13)]
+    graphs += [_connected_rows(rng, rng.randint(2, 12), 0) for _ in range(150)]  # trees
+    graphs += [_connected_rows(rng, rng.randint(2, 12), rng.randint(1, 20)) for _ in range(300)]
+    cut_vertices = 0
+    for nbrs in graphs:
+        table, _ = families._cuts(nbrs, 4)
+        for u, entry in enumerate(table):
+            want = {frozenset(comp) for comp in _components(nbrs, u)}
+            if entry is None:
+                assert len(want) <= 1  # K1 leaves no part at all
+                continue
+            parts, side = entry
+            got = {}
+            for v in range(len(nbrs)):
+                if v != u:
+                    got.setdefault(side[v], set()).add(v)
+            assert parts == len(got) >= 2
+            assert {frozenset(p) for p in got.values()} == want
+            cut_vertices += 1
+    assert cut_vertices > 500  # the maps are checked, not only the None entries

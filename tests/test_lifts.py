@@ -18,6 +18,7 @@ from forestry import (
 from forestry.errors import InputError
 from forestry.lifts import (
     _PAIRINGS,
+    MAX_LIFT_SIZE,
     MAX_LIFTS,
     TABLE_ENDS,
     _pairings,
@@ -301,6 +302,45 @@ def test_runaway_enumerations_are_refused(monkeypatch):
         with pytest.raises(InputError, match=f"^vertex 0 has more than {MAX_LIFTS} complete lifts$"):
             enumerate_lifts(g, 0)
         assert time.perf_counter() - start < 1.0
+
+
+def test_the_lifts_of_a_large_host_are_refused_before_one_is_built(monkeypatch):
+    # every lift holds g - x: the budget is lifts times its vertices and bundles
+    star = from_edge_list(13, [(0, i) for i in range(1, 13)])
+    assert len(enumerate_lifts(star, 0)) * 12 <= MAX_LIFT_SIZE
+    # criterion 5 and the bench: centres of degree at most 6 on at most 6
+    # vertices, multiplicity at most 3, so at most 15 lifts of at most 5
+    # vertices and 10 bundles; this host has them all
+    host = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)] * 3
+    dense5 = from_edge_list(6, host + [(0, 1), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
+    assert 15 * (5 + 10) <= MAX_LIFT_SIZE
+    assert len(enumerate_lifts(dense5, 0)) <= 15
+
+    def centre_in(k, d):
+        # a degree-d centre 0 on K_k over 1..k
+        pairs = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+        return from_edge_list(k + 1, [(0, i) for i in range(1, d + 1)] + pairs)
+
+    # 105 lifts of K49 fit, 49 + 1176 each; K50's 50 + 1225 do not, though
+    # 50 vertices alone would
+    assert 105 * (49 + 1176) <= MAX_LIFT_SIZE < 105 * (50 + 1225)
+    assert len(enumerate_lifts(centre_in(49, 8), 0)) == 105
+    refused = [
+        from_edge_list(113, [(0, i) for i in range(1, 13)] + [(i, i + 1) for i in range(12, 112)]),
+        centre_in(50, 8),
+        centre_in(20, 12),
+    ]
+
+    def no_build(n, mults):
+        raise AssertionError("a refused centre built a lift")
+
+    monkeypatch.setattr("forestry.multigraph._build", no_build)
+    message = f"^the complete lifts at vertex 0 would hold more than {MAX_LIFT_SIZE} vertices and bundles$"
+    for g in refused:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=message):
+            enumerate_lifts(g, 0)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_wide_centres_with_few_lifts_end_at_once():

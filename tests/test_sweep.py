@@ -101,6 +101,129 @@ def test_the_store_holds_exactly_the_appended_record_lines(tmp_path, monkeypatch
     assert store.read_bytes() == "".join(record_line(r) + "\n" for r in records).encode()
 
 
+def _spy_on_open(monkeypatch):
+    """Record each file the sweep module opens, as (args, file object)."""
+    import builtins
+
+    import forestry.sweep as sweep_mod
+
+    opened = []
+
+    def spy(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        opened.append((args, fh))
+        return fh
+
+    monkeypatch.setattr(sweep_mod, "open", spy, raising=False)
+    return opened
+
+
+def test_a_sweep_opens_its_store_for_appending_once(tmp_path, monkeypatch):
+    opened = _spy_on_open(monkeypatch)
+    store = tmp_path / "t2.jsonl"
+    summary = sweep_theorem("T2", 6, store=store)
+    assert summary.checked == 53
+    assert [args for args, _ in opened] == [(store, "ab")]
+    assert opened[0][1].closed
+    assert len(store.read_text().splitlines()) == 53
+
+
+def test_each_line_is_on_disk_before_the_next_member_is_counted(tmp_path, monkeypatch):
+    import forestry.sweep as sweep_mod
+
+    store = tmp_path / "t1.jsonl"
+    count = sweep_mod.count_forests
+    counted = []
+
+    def spy(g, cache=None):
+        text = store.read_text() if store.exists() else ""
+        assert text.count("\n") == len(counted) and text.endswith("\n") == bool(counted)
+        for line in text.splitlines():
+            parse_record(line)
+        counted.append(g)
+        return count(g, cache)
+
+    monkeypatch.setattr(sweep_mod, "count_forests", spy)
+    summary = sweep_theorem("T1", 6, store=store)
+    assert len(counted) == summary.checked == 19
+
+
+def test_a_sweep_that_fails_midway_keeps_its_complete_lines_and_closes_the_store(
+    tmp_path, monkeypatch
+):
+    import forestry.sweep as sweep_mod
+
+    opened = _spy_on_open(monkeypatch)
+    count = sweep_mod.count_forests
+    calls = []
+
+    def failing(g, cache=None):
+        calls.append(g)
+        if len(calls) == 10:
+            raise RuntimeError("count failed")
+        return count(g, cache)
+
+    monkeypatch.setattr(sweep_mod, "count_forests", failing)
+    store = tmp_path / "t2.jsonl"
+    with pytest.raises(RuntimeError, match="^count failed$"):
+        sweep_theorem("T2", 6, store=store)
+    text = store.read_text()
+    assert text.endswith("\n") and len(text.splitlines()) == 9
+    for line in text.splitlines():
+        parse_record(line)
+    ((_, fh),) = opened
+    assert fh.closed
+
+
+def test_a_fully_resumed_sweep_leaves_the_store_untouched(tmp_path, monkeypatch):
+    store = tmp_path / "t1.jsonl"
+    sweep_theorem("T1", 6, store=store)
+    before = store.read_bytes()
+    opened = _spy_on_open(monkeypatch)
+    summary = sweep_theorem("T1", 6, store=store, resume=True)
+    assert (summary.checked, summary.skipped) == (0, 19)
+    assert store.read_bytes() == before
+    assert [mode for (_, mode, *_), _ in opened] == ["r"]
+
+
+def test_append_to_an_open_handle_writes_and_flushes_the_line(tmp_path):
+    store = tmp_path / "runs.jsonl"
+    with open(store, "ab") as fh:
+        run_store_append(fh, make_record())
+        run_store_append(fh, make_record(key=b"\x03"))
+        # flushed: the lines are in the file while the handle is still open
+        assert store.read_text() == (
+            record_line(make_record()) + "\n" + record_line(make_record(key=b"\x03")) + "\n"
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_full_store_raises_io_error_and_closes_the_handle(monkeypatch):
+    with pytest.raises(IoError, match="^cannot append to /dev/full: "):
+        run_store_append("/dev/full", make_record())
+    opened = _spy_on_open(monkeypatch)
+    with pytest.raises(IoError, match="^cannot append to /dev/full: "):
+        sweep_theorem("T1", 4, store="/dev/full")
+    ((_, fh),) = opened
+    assert fh.closed
+
+
+def test_an_empty_store_path_is_refused(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("forestry.sweep.family_levels", never)
+    refused = "^store '' is not a path$"
+    with pytest.raises(InputError, match=refused):
+        sweep_theorem("T1", 5, store="")
+    with pytest.raises(InputError, match=refused):
+        sweep_theorem("T1", 5, store="", resume=True)
+    with pytest.raises(InputError, match=refused):
+        run_store_append("", make_record())
+    with pytest.raises(InputError, match=refused):
+        run_store_resume("")
+
+
 def test_resume_skips_what_is_already_stored(tmp_path):
     store = tmp_path / "t1.jsonl"
     first = sweep_theorem("T1", 4, store=store)
