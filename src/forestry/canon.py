@@ -5,47 +5,62 @@ the least serialization (n, n zero bytes, the upper triangle of the
 multiplicity matrix; a value x from 255 up is x // 255 bytes 255, then
 the byte x % 255) over the leaves of the search tree.
 Refinement makes synchronous passes over an ordered partition whose
-colours are cell positions.  A vertex is signed by its neighbours' sorted
-(colour, multiplicity) pairs, or on a simple graph by their bare sorted
-colours, which sort the same way.  A cell splits into one part per
-signature, in signature order.  The root's first pass is read off the
-sorted multiplicities; past it, a pass re-signs only cells next to the
-individualized vertex or to a part, other than a largest one, of a cell
-the last pass split.  Automorphisms prune the search (McKay & Piperno,
-J. Symbolic Comput. 60, 2014): a leaf equal to the best yields one, and
-the search returns to where the two paths part; a child in the orbit of
-an explored sibling, under the automorphisms found that fix the node's
-individualized vertices, is skipped.  Neither rule loses a
+colours are cell positions.  A vertex is signed by its neighbours'
+sorted (colour, multiplicity) pairs or, on a simple graph, by minus the
+count vector of its neighbours' colours, as digits of width bits with
+colour 0 most significant, 2**width above the largest degree (Python
+integers have no word limit).  Root cells are degree classes there, so
+a cell's sorted colour tuples have one length and are ordered by the
+first colour whose counts differ: the tuple with more of it sorts first
+and has the larger vector, so the negated integers sort as the tuples
+do.  A cell splits into one part per signature, in signature order.  The root's
+first pass is read off the sorted multiplicities (the degrees, on a
+simple graph) and its second re-signs every cell; past them, a pass
+re-signs only cells next to the individualized vertex or to a part,
+other than a largest one, of a cell the last pass split, and re-colours
+from the first cell that split.  Automorphisms prune the search (McKay &
+Piperno, J. Symbolic Comput. 60, 2014): a leaf equal to the best yields
+one, and the search returns to where the two paths part; a child in the
+orbit of an explored sibling, under the automorphisms found that fix the
+node's individualized vertices, is skipped.  Neither rule loses a
 serialization; the automorphisms found generate the group.
 A run store keeps these keys, so any change to the serialization must
 bump sweep.RECORD_VERSION; a resume then recounts every stored graph.
 """
 
-from itertools import groupby
 
-
-def _refine(adj, cells, touched, simple):
-    """Refine an ordered partition until stable; the first pass re-signs touched cells."""
-    colors = [0] * len(adj)
-    while touched and len(cells) < len(adj):
-        for i, cell in enumerate(cells):
-            for v in cell:
-                colors[v] = i
-        split = {}
-        for i in {colors[v] for v in touched if len(cells[colors[v]]) > 1}:
-            # cells are ascending, so each part is too
-            parts = {}
+def _refine(adj, cells, touched, width):
+    """Refine an ordered partition until stable; the first pass re-signs touched cells.
+    Signatures are integers of width-bit digits, or pair tuples at width 0."""
+    n = len(adj)
+    colors = [0] * n
+    weights = [0] * n  # -2**(width * (n - 1 - colour)) per vertex
+    start = 0  # the cells before it kept their positions in the last pass
+    while touched and len(cells) < n:
+        for i in range(start, len(cells)):
+            weight = -(1 << width * (n - 1 - i))
             for v in cells[i]:
-                sig = tuple(sorted([colors[w] for w in adj[v]] if simple else
-                                   [(colors[w], t) for w, t in adj[v].items()]))
-                parts.setdefault(sig, []).append(v)
-            if len(parts) > 1:
-                split[i] = [parts[sig] for sig in sorted(parts)]
+                colors[v] = i
+                weights[v] = weight
+        split = {}
+        for i in {colors[v] for v in touched}:
+            cell = cells[i]
+            if len(cell) > 1:
+                # cells are ascending, so each part is too
+                parts = {}
+                for v in cell:
+                    sig = (sum(map(weights.__getitem__, adj[v])) if width else
+                           tuple(sorted([(colors[w], t) for w, t in adj[v].items()])))
+                    parts.setdefault(sig, []).append(v)
+                if len(parts) > 1:
+                    split[i] = [parts[sig] for sig in sorted(parts)]
         if not split:
             break
-        smaller = [part for p in split.values() for part in sorted(p, key=len)[:-1]]
-        touched = [w for part in smaller for v in part for w in adj[v]]
-        cells = [part for i, cell in enumerate(cells) for part in split.get(i, (cell,))]
+        start = min(split)
+        touched = [w for p in split.values() for part in sorted(p, key=len)[:-1]
+                   for v in part for w in adj[v]]
+        rest = [part for i in range(start, len(cells)) for part in split.get(i, (cells[i],))]
+        cells = cells[:start] + rest
     return cells
 
 
@@ -56,14 +71,24 @@ def _simple(adj, cells):
     return not cells or max(adj[cells[-1][0]].values(), default=1) == 1
 
 
+def _width(adj, cells):
+    """The digit width of the integer signature on cells from _root: the bits
+    of the largest degree, which the last cell holds; 0 on a multigraph or
+    an edgeless graph."""
+    return len(adj[cells[-1][0]]).bit_length() if cells and _simple(adj, cells) else 0
+
+
 def _root(adj):
     """The refined root partition every search of adj starts from; its first
-    pass from the unit partition is read off the sorted multiplicities."""
-    profiles = sorted([(sorted(row.values()), v) for v, row in enumerate(adj)])
-    cells = [[x[1] for x in run] for _, run in groupby(profiles, lambda x: x[0])]
-    largest = max(range(len(cells)), key=lambda i: (len(cells[i]), i), default=0)
-    touched = [w for i, cell in enumerate(cells) if i != largest for v in cell for w in adj[v]]
-    return _refine(adj, cells, touched, _simple(adj, cells))
+    pass from the unit partition is read off the sorted multiplicities,
+    which on a simple graph are the degrees."""
+    simple = sum(map(len, adj)) == sum(map(sum, map(dict.values, adj)))
+    classes = {}
+    for v, row in enumerate(adj):
+        classes.setdefault(len(row) if simple else tuple(sorted(row.values())), []).append(v)
+    profiles = sorted(classes)
+    width = profiles[-1].bit_length() if simple and profiles else 0
+    return _refine(adj, [classes[p] for p in profiles], range(len(adj)), width)
 
 
 def _serialize(n, adj, order):
@@ -100,7 +125,7 @@ def _search(n, adj, cells):
     gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
-    simple = _simple(adj, cells)
+    width = _width(adj, cells)
     t = 0  # the cells before the parent's target cell are singletons
     while True:
         if len(cells) < n:
@@ -127,7 +152,7 @@ def _search(n, adj, cells):
                 explored.append(w)
                 path[depth:] = [w]
                 rest = [v for v in cells[t] if v != w]
-                cells = _refine(adj, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w], simple)
+                cells = _refine(adj, cells[:t] + [[w], rest] + cells[t + 1 :], adj[w], width)
                 break
             nodes.pop()
         else:

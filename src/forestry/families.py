@@ -50,7 +50,12 @@ so it beats the new vertex and the child would be rejected.  Degree and
 cutting are invariants, so the hooks kept are whole orbits, and each
 orbit keeps its first hook.  The table also answers the tie check's cut
 test: the child less u is connected when the hook, u aside, meets every
-component of the parent less u.
+component of the parent less u.  At the largest order no child is kept
+to grow, so a child survives only as a member, of degrees 2 and up: its
+hook holds two vertices or more, and every parent vertex of degree 1,
+which a hook of k >= 2 holds already since such a vertex cuts nothing.
+So the last order offers no hook of one vertex, dropping whole orbits of
+children that would be discarded as neither finished nor kept.
 
 Order limit.  DEFAULT_FAMILY_CAPS fixes the largest order of each family,
 12 for {2, 3} and 9 for {2, 3, 4}, where the theorem sweeps are pinned;
@@ -61,7 +66,7 @@ from itertools import combinations
 
 from .canon import _root
 from .errors import InputError
-from .multigraph import MultiGraph, canonical_search
+from .multigraph import _from_rows, canonical_search
 
 DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
@@ -218,6 +223,8 @@ def family_levels(degree_set, n_max):
         grown = []
         for nbrs, degrees, gens in parents:
             cuts, required = _cuts(nbrs, dmax)
+            if n == n_max:
+                required[1] = frozenset(range(new))  # no hook of one vertex holds two or more
             open_slots = [v for v in range(new) if degrees[v] < dmax]
             for hook in _hooks(open_slots, dmax, gens, required):
                 child_degrees = degrees + [len(hook)]
@@ -237,8 +244,7 @@ def family_levels(degree_set, n_max):
                 if ties is None:
                     continue
                 # the new vertex has the largest id, so every row stays ascending
-                child = MultiGraph(n)
-                child._adj = [dict.fromkeys(row, 1) for row in child_nbrs]
+                child = _from_rows(child_nbrs)
                 cells = _root(child._adj)
                 if ties:
                     at = {v: i for i, cell in enumerate(cells) for v in cell}

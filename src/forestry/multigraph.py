@@ -89,6 +89,13 @@ def _build(n, mults):
     return g
 
 
+def _from_rows(rows):
+    """The simple graph whose row v holds the ascending neighbour tuple rows[v]; trusted."""
+    g = MultiGraph.__new__(MultiGraph)
+    g.n, g._adj, g._key = len(rows), [dict.fromkeys(row, 1) for row in rows], None
+    return g
+
+
 def from_edge_list(n, pairs):
     if type(n) is not int or n < 0:
         raise InputError(f"vertex count {n!r} must be a nonnegative int")

@@ -62,22 +62,15 @@ def _stamp():
 
 
 def record_line(record):
-    import json
+    from json.encoder import encode_basestring_ascii as text
 
-    # the keys are written in sorted order; sort_keys=True would build a
-    # new encoder on every call
-    return json.dumps(
-        {
-            "bound": record.bound_text,
-            "exception": record.exception,
-            "family": record.family,
-            "forests": str(record.forests),
-            "key": record.key.hex(),
-            "n": record.n,
-            "ts": record.ts,
-            "v": RECORD_VERSION,
-            "verdict": record.verdict,
-        }
+    # what json.dumps writes of the fields in sorted key order
+    return (
+        '{"bound": %s, "exception": %s, "family": %s, "forests": "%d", "key": "%s", '
+        '"n": %d, "ts": %s, "v": %d, "verdict": %s}'
+        % (text(record.bound_text), "true" if record.exception else "false",
+           text(record.family), record.forests, record.key.hex(), record.n,
+           text(record.ts), RECORD_VERSION, text(record.verdict))
     )
 
 

@@ -203,12 +203,12 @@ def _assert_root_matches_the_unit_refinement(adj):
     assert cells == reference_root(adj)
     # simpleness is read off the last root cell, not a scan of every row
     assert canon._simple(adj, cells) == all(t == 1 for row in adj for t in row.values())
-    # past the root, a simple graph is signed on bare colours; individualize
+    # past the root, a simple graph is signed by integers; individualize
     # each vertex of the first nontrivial cell and refine against the pairs
     t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
     for w in cells[t] if t is not None else ():
         split = cells[:t] + [[w], [v for v in cells[t] if v != w]] + cells[t + 1 :]
-        got = canon._refine(adj, split, adj[w], canon._simple(adj, cells))
+        got = canon._refine(adj, split, adj[w], canon._width(adj, cells))
         assert got == reference_refine_cells(adj, split, adj[w])
 
 
@@ -239,6 +239,48 @@ def graphs_up_to_ten(draw):
 @example((6, [{} for _ in range(6)]))
 def test_the_root_matches_the_unit_refinement(graph):
     _assert_root_matches_the_unit_refinement(graph[1])
+
+
+def _circulant(n, jumps):
+    return _raw(n, {tuple(sorted((v, (v + j) % n))): 1 for v in range(n) for j in jumps})
+
+
+@st.composite
+def simple_graphs_around_the_digit(draw):
+    """A simple graph on up to 40 vertices whose largest degree sits at or
+    just past a power of two less one, where the integer signature's digit
+    widens; most draws sign by integers past a 64-bit word."""
+    n = draw(st.integers(0, 40))
+    dmax = min(draw(st.sampled_from([1, 2, 3, 4, 7, 8])), max(n - 1, 0))
+    degree = [0] * n
+    mults = {}
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = [(0, v) for v in range(1, dmax + 1)]  # vertex 0 takes the largest degree
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    for u, v in pairs:
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in mults and degree[u] < dmax and degree[v] < dmax:
+            mults[pair] = 1
+            degree[u] += 1
+            degree[v] += 1
+    return _raw(n, mults)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs_around_the_digit())
+@example(_circulant(32, [1]))  # 32 digits of 2 bits pass a 64-bit word
+@example(_circulant(22, [1, 2]))  # 22 of 3 bits
+@example(_circulant(16, [1, 2, 3, 4]))  # degree 8 takes 4-bit digits
+@example(_circulant(200, [1, 2, 5]))  # 200 of 3 bits
+# digits one bit narrower than the largest degree's carry on this graph
+@example(_raw(9, dict.fromkeys([(0, 2), (0, 5), (1, 2), (1, 8), (2, 5), (3, 7), (4, 6),
+                                (6, 7), (6, 8), (7, 8)], 1)))
+def test_the_simple_graph_signature_matches_the_reference(adj):
+    _assert_root_matches_the_unit_refinement(adj)
+    cells = canon._root(adj)
+    # every simple graph with an edge is signed by integers, digits of the
+    # largest degree's bits
+    assert canon._width(adj, cells) == max(map(len, adj), default=0).bit_length()
 
 
 def test_pinned_keys():

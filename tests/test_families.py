@@ -190,6 +190,22 @@ def test_representatives_keep_their_labeling(degree_set, n_max):
     assert digest.hexdigest() == REPRESENTATIVES[degree_set, n_max]
 
 
+# sha256 of every level's canonical keys: a run store keeps these keys, so
+# a change to canon that moves one must bump sweep.RECORD_VERSION
+KEYS = {
+    ((2, 3), 10): "4e49cd99ba74c32caaf9bb058b2e084c04fad2275b45ffb7f70ff68ae4b08956",
+    ((2, 3, 4), 8): "2da7f03fa610a57acda0decae1134ed3a8d22c368add0e68131cd36aa2b4d547",
+}
+
+
+@pytest.mark.parametrize("degree_set, n_max", sorted(KEYS))
+def test_level_keys_are_pinned(degree_set, n_max):
+    digest = hashlib.sha256()
+    for n, members in family_levels(degree_set, n_max):
+        digest.update(repr((n, [canonical_key(g) for g in members])).encode())
+    assert digest.hexdigest() == KEYS[degree_set, n_max]
+
+
 # (degree set, largest order): canon searches, and the children with ties
 # that the root cells reject, accept or leave to the orbit test
 SEARCHES = {
@@ -246,8 +262,8 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
 # (degree set, largest order): hooks offered, and the children of those
 # hooks that reach the tie check
 WORK = {
-    ((2, 3), 9): (1461, 905),
-    ((2, 3, 4), 7): (766, 531),
+    ((2, 3), 9): (921, 905),
+    ((2, 3, 4), 7): (531, 531),
 }
 
 
@@ -274,36 +290,51 @@ def test_the_generation_work_is_pinned(monkeypatch, degree_set, n_max):
 
 @pytest.mark.parametrize("degree_set, n_max", sorted(WORK))
 def test_the_hook_filter_and_the_cut_table_follow_the_tie_rule(monkeypatch, degree_set, n_max):
-    parents = []  # (neighbour lists, cut table, required hook vertices) per parent
-    cuts = families._cuts
+    parents = []  # (neighbour lists, cut table) per parent
+    offered = []  # the vertices family_levels has each hook of k hold, per parent
+    cuts, hooks = families._cuts, families._hooks
 
     def recording_cuts(nbrs, dmax):
         table, required = cuts(nbrs, dmax)
-        parents.append((nbrs, table, required))
+        parents.append((nbrs, table))
         return table, required
 
+    def recording_hooks(open_slots, dmax, gens, required):
+        offered.append(required)
+        return hooks(open_slots, dmax, gens, required)
+
     monkeypatch.setattr(families, "_cuts", recording_cuts)
+    monkeypatch.setattr(families, "_hooks", recording_hooks)
     for _ in family_levels(degree_set, n_max):
         pass
     dmax = max(degree_set)
-    skipped = kept = 0
-    for nbrs, table, required in parents:
+    skipped = kept = unfinished = 0
+    assert len(parents) == len(offered)
+    for (nbrs, table), required in zip(parents, offered):
         new = len(nbrs)
+        last = new + 1 == n_max
         open_slots = [v for v in range(new) if len(nbrs[v]) < dmax]
         # every hook, not one per orbit, finished or not
         for k in range(1, dmax + 1):
+            # the tie rule: a hook of k holds every non-cut vertex of degree below k
+            tie_rule = {u for u, row in enumerate(nbrs) if len(row) < k and table[u] is None}
             for hook in combinations(open_slots, k):
                 child_nbrs = [row + (new,) if v in hook else row for v, row in enumerate(nbrs)]
                 child_nbrs.append(hook)
                 degrees = [len(row) for row in child_nbrs]
                 want = reference_ties(child_nbrs, degrees)
-                if required[k] <= set(hook):
+                if not tie_rule <= set(hook):
+                    assert want is None
+                    skipped += 1
+                elif required[k] <= set(hook):
                     assert families._ties(child_nbrs, degrees, table) == want
                     kept += 1
                 else:
-                    assert want is None
-                    skipped += 1
-    assert skipped and kept  # both sides of the filter are checked
+                    # the last-order rule: no child is kept to grow, and
+                    # this one is no member either
+                    assert last and min(degrees) < 2
+                    unfinished += 1
+    assert skipped and kept and unfinished  # every side of the filter is checked
 
 
 def _connected_rows(rng, n, extra):
