@@ -64,31 +64,19 @@ def _refine(adj, cells, touched, width):
     return cells
 
 
-def _simple(adj, cells):
-    """Whether adj has no parallel edges, read off cells that refine its
-    multiplicity profiles in sorted order: a profile with a multiplicity
-    above 1 sorts after every all-ones profile, so the last cell shows it."""
-    return not cells or max(adj[cells[-1][0]].values(), default=1) == 1
-
-
-def _width(adj, cells):
-    """The digit width of the integer signature on cells from _root: the bits
-    of the largest degree, which the last cell holds; 0 on a multigraph or
-    an edgeless graph."""
-    return len(adj[cells[-1][0]]).bit_length() if cells and _simple(adj, cells) else 0
-
-
 def _root(adj):
-    """The refined root partition every search of adj starts from; its first
-    pass from the unit partition is read off the sorted multiplicities,
-    which on a simple graph are the degrees."""
+    """The refined root partition every search of adj starts from, and the
+    digit width its refinements sign by: the bits of the largest degree on
+    a simple graph, 0 on a multigraph or an edgeless graph.  The first pass
+    from the unit partition is read off the sorted multiplicities, which on
+    a simple graph are the degrees."""
     simple = sum(map(len, adj)) == sum(map(sum, map(dict.values, adj)))
     classes = {}
     for v, row in enumerate(adj):
         classes.setdefault(len(row) if simple else tuple(sorted(row.values())), []).append(v)
     profiles = sorted(classes)
     width = profiles[-1].bit_length() if simple and profiles else 0
-    return _refine(adj, [classes[p] for p in profiles], range(len(adj)), width)
+    return _refine(adj, [classes[p] for p in profiles], range(len(adj)), width), width
 
 
 def _serialize(n, adj, order):
@@ -119,13 +107,12 @@ def _orbit(points, gens, fixed):
     return tree
 
 
-def _search(n, adj, cells):
+def _search(n, adj, cells, width):
     """The least serialization, automorphism generators, the best leaf's path and order."""
     best = best_order = best_path = None
     gens = []  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
-    width = _width(adj, cells)
     t = 0  # the cells before the parent's target cell are singletons
     while True:
         if len(cells) < n:
@@ -159,18 +146,18 @@ def _search(n, adj, cells):
             return best, gens, best_path, best_order
 
 
-def search(n, adj, cells):
-    """The key, automorphism generators and canonical order from cells = _root(adj).
+def search(n, adj, cells, width):
+    """The key, automorphism generators and canonical order from cells, width = _root(adj).
 
     order[i] is the vertex the key serializes at position i, so isomorphic
     graphs map onto each other by their orders.  The generators, {v: image}
     maps over the points they move, generate the automorphism group."""
-    best, gens, _, order = _search(n, adj, cells)
+    best, gens, _, order = _search(n, adj, cells, width)
     return best, gens, order
 
 
 def canonical_key(n, adj):
-    return _search(n, adj, _root(adj))[0]
+    return _search(n, adj, *_root(adj))[0]
 
 
 def automorphisms(n, adj):
@@ -178,7 +165,7 @@ def automorphisms(n, adj):
 
     Generators fixing the first i vertices of the best leaf's path generate
     their stabilizer: the group is a product of transversals along it."""
-    _, gens, path, _ = _search(n, adj, _root(adj))
+    _, gens, path, _ = _search(n, adj, *_root(adj))
     ident = tuple(range(n))
     group = [ident]
     for depth in reversed(range(len(path))):

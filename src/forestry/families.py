@@ -73,16 +73,18 @@ DEFAULT_FAMILY_CAPS = {frozenset((2, 3)): 12, frozenset((2, 3, 4)): 9}
 
 def _checked(degree_set, n_max):
     """The family's largest degree, once the degree set and the order pass."""
-    ds = frozenset(degree_set)
-    if ds not in DEFAULT_FAMILY_CAPS:
+    try:
+        ds = frozenset(degree_set)
+        cap = DEFAULT_FAMILY_CAPS[ds]
+    except (KeyError, TypeError):
         raise InputError("supported degree sets are {2,3} and {2,3,4}, not %r"
-                         % sorted(set(degree_set)))
+                         % (degree_set,)) from None
     if type(n_max) is not int:
         raise InputError("order %r is not an int" % (n_max,))
     if n_max < 3:
         raise InputError("the families start at 3 vertices")
-    if n_max > DEFAULT_FAMILY_CAPS[ds]:
-        raise InputError("order %d exceeds the cap of %d" % (n_max, DEFAULT_FAMILY_CAPS[ds]))
+    if n_max > cap:
+        raise InputError("order %d exceeds the cap of %d" % (n_max, cap))
     return max(ds)
 
 
@@ -245,13 +247,13 @@ def family_levels(degree_set, n_max):
                     continue
                 # the new vertex has the largest id, so every row stays ascending
                 child = _from_rows(child_nbrs)
-                cells = _root(child._adj)
+                cells, width = _root(child._adj)
                 if ties:
                     at = {v: i for i, cell in enumerate(cells) for v in cell}
                     if min([at[u] for u in ties]) < at[new]:
                         continue
                     ties = [u for u in ties if at[u] == at[new]]
-                key, child_gens, order = canonical_search(child, cells)
+                key, child_gens, order = canonical_search(child, cells, width)
                 if ties:
                     first = min(ties + [new], key=order.index)
                     if (new,) not in _orbit((first,), child_gens):

@@ -31,8 +31,15 @@ def _check_order(n):
         raise InputError(f"{n} vertices is above the input limit of {MAX_VERTICES}")
 
 
+def _text(text):
+    """text, once it is a str: bytes or None would fail deep in a parse."""
+    if not isinstance(text, str):
+        raise InputError(f"graph text must be a str, not {type(text).__name__}")
+    return text
+
+
 def _meaningful_lines(text):
-    for line in text.splitlines():
+    for line in _text(text).splitlines():
         s = line.strip()
         if not s or s.startswith("#"):
             continue
@@ -86,7 +93,7 @@ def _g6_bytes(s):
 
 
 def parse_graph6(text):
-    s = text.strip()
+    s = _text(text).strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER) :]
     if not s:

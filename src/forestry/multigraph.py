@@ -99,6 +99,10 @@ def _from_rows(rows):
 def from_edge_list(n, pairs):
     if type(n) is not int or n < 0:
         raise InputError(f"vertex count {n!r} must be a nonnegative int")
+    try:
+        pairs = iter(pairs)
+    except TypeError:
+        raise InputError(f"edges {pairs!r} are not a collection of pairs") from None
     mults = {}
     for pair in pairs:
         try:
@@ -252,11 +256,11 @@ def automorphisms(g):
     return canon.automorphisms(g.n, g._adj)
 
 
-def canonical_search(g, cells):
+def canonical_search(g, cells, width):
     """(key, automorphism generators, canonical order) from one search.
 
     See canon.search; the key is cached, so canonical_key(g) is free after.
     """
-    key, gens, order = canon.search(g.n, g._adj, cells)
+    key, gens, order = canon.search(g.n, g._adj, cells, width)
     g._key = key
     return key, gens, order

@@ -392,7 +392,8 @@ def catalog_names():
 
 def catalog_entry(name):
     """The named graph, verified against its stored count on first use."""
-    if name not in _CHECKED:
+    # an unhashable name would fail the dict test; only a str is found in _RAW
+    if not isinstance(name, str) or name not in _CHECKED:
         row = next((row for row in _RAW if row[0] == name), None)
         if row is None:
             raise InputError(

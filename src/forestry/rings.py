@@ -62,6 +62,8 @@ class RadicalBound(NamedTuple):
 
 def upper_bound_fd(d):
     """The ring-family ceiling [2 * F(K_{d+1} - e)]^(1/(d+1)) for d-regular graphs."""
+    if type(d) is not int:
+        raise InputError(f"d = {d!r} is not an int")
     if not 3 <= d <= DEFAULT_FD_CAP:
         raise InputError(f"d = {d} is outside 3..{DEFAULT_FD_CAP}")
     n = d + 1
@@ -101,6 +103,10 @@ def ring_family(g, u, v, m_list):
     Rows carry the closed-form count, the per-vertex root, and (for
     small m) an independent direct count of the constructed ring.
     """
+    try:
+        m_list = list(m_list)
+    except TypeError:
+        raise InputError(f"ring sizes {m_list!r} are not a collection of ints") from None
     for m in m_list:
         if type(m) is not int or m < 1:
             raise InputError(f"ring size m = {m!r} is not a positive int")

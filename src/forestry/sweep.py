@@ -3,15 +3,16 @@
 A sweep walks every graph of one family up to a chosen order, compares
 its forest count against the family's lower bound, and appends one JSON
 line per graph to a store file.  It opens the store for appending once,
-at its first record, and writes each line with one flushed write, so
-every finished line is on disk before the next graph is counted.  A rerun
-can skip the stored graphs; their stored verdicts count as if checked
-again.  The sweep fails loudly if the
-set of violating graphs is anything other than the known exceptional
-ones, since that can only mean a generator or counting defect.
+at its first record, and hands that handle to run_store_append, which
+writes each line with one flushed write, so every finished line is on
+disk before the next graph is counted.  A rerun can skip the stored
+graphs; their stored verdicts count as if checked again.  A stored line
+is a record only if record_line writes it back unchanged, and a resume
+skips any other line with a warning.  The sweep fails loudly if the set
+of violating graphs is anything other than the known exceptional ones,
+since that can only mean a generator or counting defect.
 """
 
-import io
 import os
 import time
 from typing import NamedTuple
@@ -77,48 +78,31 @@ def record_line(record):
 def parse_record(line):
     """Strict inverse of record_line; raises CorruptRecord on any defect.
 
-    A line is accepted only if record_line writes it back unchanged (up
-    to its newline), so no two lines parse to the same record.
+    A line is a record only if record_line writes it back unchanged (up
+    to its newline), so no two lines parse to the same record and every
+    field has the one type and form record_line writes.  What the round
+    trip cannot judge is checked on its own: the version, the family tag
+    and the verdict.
     """
     import json
 
     try:
         raw = json.loads(line)
-    except ValueError as exc:
-        raise CorruptRecord("not JSON: %s" % exc)
-    if not isinstance(raw, dict):
-        raise CorruptRecord("record is not an object")
-    if type(raw.get("v")) is not int or raw["v"] != RECORD_VERSION:
-        raise CorruptRecord("unknown record version %r" % raw.get("v"))
-    try:
-        family = raw["family"]
-        n = raw["n"]
-        key = raw["key"]
-        forests = raw["forests"]
-        bound_text = raw["bound"]
-        verdict = raw["verdict"]
-        exception = raw["exception"]
-        ts = raw["ts"]
-    except KeyError as exc:
-        raise CorruptRecord("missing field: %s" % exc)
-    if family not in {spec[1] for spec in THEOREMS.values()}:
-        raise CorruptRecord("unknown family %r" % family)
-    if verdict not in _VERDICTS:
-        raise CorruptRecord("unknown verdict %r" % verdict)
-    if (
-        type(n) is not int
-        or type(exception) is not bool
-        or not all(type(x) is str for x in (key, forests, bound_text, ts))
-    ):
-        raise CorruptRecord("wrong field types")
-    try:
+        if raw["v"] != RECORD_VERSION:
+            raise CorruptRecord("unknown record version %r" % (raw["v"],))
         record = SweepRecord(
-            family, n, bytes.fromhex(key), int(forests), bound_text, verdict, exception, ts
+            raw["family"], raw["n"], bytes.fromhex(raw["key"]), int(raw["forests"]),
+            raw["bound"], raw["verdict"], raw["exception"], raw["ts"],
         )
-    except ValueError as exc:
-        raise CorruptRecord("bad field: %s" % exc)
-    if record_line(record) != line.rstrip("\n"):
-        raise CorruptRecord("not as record_line writes it")
+        if record_line(record) != line.rstrip("\n"):
+            raise CorruptRecord("not as record_line writes it")
+    # json.loads raises RecursionError on deep nesting, int() OverflowError on Infinity
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise CorruptRecord("not a record: %r" % (exc,))
+    if record.family not in {spec[1] for spec in THEOREMS.values()}:
+        raise CorruptRecord("unknown family %r" % record.family)
+    if record.verdict not in _VERDICTS:
+        raise CorruptRecord("unknown verdict %r" % record.verdict)
     return record
 
 
@@ -137,30 +121,18 @@ def _appending(store):
         raise IoError("cannot append to %s: %s" % (store, exc))
 
 
-def run_store_append(store, record):
-    """Append record's line to the store, a path or an open binary handle.
-
-    A path is opened, written once and closed; a handle is written and
-    flushed, so the whole line is on disk when this returns.
-    """
-    data = (record_line(record) + "\n").encode()
-    if not isinstance(store, io.IOBase):
-        _check_store(store)
-        try:
-            with open(store, "ab") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise IoError("cannot append to %s: %s" % (store, exc))
-        return
+def run_store_append(fh, record):
+    """Write record's line to the open binary store handle fh and flush it,
+    so the whole line is in the file when this returns."""
     try:
-        store.write(data)
-        store.flush()
+        fh.write((record_line(record) + "\n").encode())
+        fh.flush()
     except OSError as exc:
-        raise IoError("cannot append to %s: %s" % (store.name, exc))
+        raise IoError("cannot append to %s: %s" % (fh.name, exc))
 
 
-def run_store_resume(store, family=None):
-    """{key: record} for the store's records, optionally of one family only.
+def run_store_resume(store, family):
+    """{key: record} for the store's records of the family tag.
 
     A missing store counts as empty; unreadable lines are skipped with a
     logged warning so one bad write never blocks a rerun.  A key stored
@@ -187,7 +159,7 @@ def run_store_resume(store, family=None):
             except CorruptRecord as exc:
                 log.warning("%s line %d skipped: %s", store, lineno, exc)
                 continue
-            if family is None or record.family == family:
+            if record.family == family:
                 done[record.key] = record
     return done
 
@@ -201,7 +173,7 @@ def sweep_theorem(theorem, n_max, store=None, resume=False, cache=None):
     import logging
 
     log = logging.getLogger(__name__)
-    if theorem not in THEOREMS:
+    if not isinstance(theorem, str) or theorem not in THEOREMS:
         raise InputError("theorem must be one of %s" % sorted(THEOREMS))
     if store is not None:
         _check_store(store)

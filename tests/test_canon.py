@@ -126,7 +126,7 @@ def _assert_matches_reference(n, adj):
     reference_group = set(reference_automorphisms(n, adj))
     assert set(auts) == reference_group
     # one search gives the key, a canonical order and generators
-    found, gens, order = canon.search(n, adj, canon._root(adj))
+    found, gens, order = canon.search(n, adj, *canon._root(adj))
     assert found == key
     assert sorted(order) == list(range(n))
     assert _reference_serialize(n, adj, [0] * n, order) == key
@@ -199,16 +199,18 @@ def test_every_multigraph_on_four_vertices_matches_the_reference():
 
 
 def _assert_root_matches_the_unit_refinement(adj):
-    cells = canon._root(adj)
+    cells, width = canon._root(adj)
     assert cells == reference_root(adj)
-    # simpleness is read off the last root cell, not a scan of every row
-    assert canon._simple(adj, cells) == all(t == 1 for row in adj for t in row.values())
+    # the root alone decides simpleness: integer digits of the largest
+    # degree's bits on a simple graph, pair tuples on a multigraph
+    simple = all(t == 1 for row in adj for t in row.values())
+    assert width == (max(map(len, adj), default=0).bit_length() if simple else 0)
     # past the root, a simple graph is signed by integers; individualize
     # each vertex of the first nontrivial cell and refine against the pairs
     t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
     for w in cells[t] if t is not None else ():
         split = cells[:t] + [[w], [v for v in cells[t] if v != w]] + cells[t + 1 :]
-        got = canon._refine(adj, split, adj[w], canon._width(adj, cells))
+        got = canon._refine(adj, split, adj[w], width)
         assert got == reference_refine_cells(adj, split, adj[w])
 
 
@@ -277,10 +279,9 @@ def simple_graphs_around_the_digit(draw):
                                 (6, 7), (6, 8), (7, 8)], 1)))
 def test_the_simple_graph_signature_matches_the_reference(adj):
     _assert_root_matches_the_unit_refinement(adj)
-    cells = canon._root(adj)
     # every simple graph with an edge is signed by integers, digits of the
     # largest degree's bits
-    assert canon._width(adj, cells) == max(map(len, adj), default=0).bit_length()
+    assert canon._root(adj)[1] == max(map(len, adj), default=0).bit_length()
 
 
 def test_pinned_keys():

@@ -181,6 +181,19 @@ def test_verify_store_then_resume(cli, tmp_path):
     assert "checked 0  skipped 15" in out
 
 
+def test_verify_resume_skips_a_line_whose_family_is_not_a_string(cli, tmp_path):
+    store = tmp_path / "t1.jsonl"
+    assert cli("verify", "--theorem", "1", "--max-n", "4", "--store", str(store))[0] == 0
+    lines = store.read_text().splitlines()
+    lines[0] = lines[0].replace('"family": "23"', '"family": ["23"]')
+    store.write_text("\n".join(lines) + "\n")
+    rc, out, _ = cli(
+        "verify", "--theorem", "1", "--max-n", "4", "--store", str(store), "--resume"
+    )
+    assert rc == 0
+    assert "checked 1  skipped 3" in out
+
+
 @pytest.mark.parametrize("theorem, exceptions", [("1", ["K4"]), ("2", ["K5", "K6-"])])
 def test_verify_checks_no_catalog_entry_beyond_the_sweeps_exceptions(
     cli, monkeypatch, theorem, exceptions

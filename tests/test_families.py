@@ -226,9 +226,9 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
             tied.append((nbrs, found))
         return found
 
-    def counting_search(g, cells):
+    def counting_search(g, cells, width):
         searched.append(g.n)
-        return search(g, cells)
+        return search(g, cells, width)
 
     monkeypatch.setattr(families, "_ties", recording_ties)
     monkeypatch.setattr(families, "canonical_search", counting_search)
@@ -238,10 +238,10 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
     for nbrs, found in tied:
         n, new = len(nbrs), len(nbrs) - 1
         adj = [dict.fromkeys(row, 1) for row in nbrs]
-        cells = canon._root(adj)
+        cells, width = canon._root(adj)
         # the tie-break as it ran on every child with ties: v(C) is the
         # candidate first in the canonical order, kept when new is in its orbit
-        _, gens, order = canon.search(n, adj, cells)
+        _, gens, order = canon.search(n, adj, cells, width)
         first = min(found + [new], key=order.index)
         kept = (new,) in families._orbit((first,), gens)
         at = {v: i for i, cell in enumerate(cells) for v in cell}

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import forestry
+from forestry.errors import InputError
 
 EXPORTS = {
     "automorphisms", "BoundExpr", "canonical_key", "catalog", "catalog_entry",
@@ -142,6 +143,28 @@ def test_every_refusal_is_a_forestry_error():
     assert others == allowed, f"raised besides the five: {sorted(set(others) - set(allowed))}"
     cli_names = _names_used(SRC / "cli.py")
     assert cli_names.isdisjoint({"ValueError", "KeyError", "_resolve_catalog"})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: forestry.upper_bound_fd("3"),
+        lambda: forestry.upper_bound_fd(4.0),
+        lambda: next(forestry.family_levels(None, 5)),
+        lambda: forestry.enumerate_family(5, 23),
+        lambda: forestry.from_edge_list(3, None),
+        lambda: forestry.sweep_theorem(["T1"], 5),
+        lambda: forestry.catalog_entry(["K4"]),
+        lambda: forestry.ring_family(forestry.catalog_entry("K4").graph, 0, 1, 5),
+        lambda: forestry.parse_graph(b"2 1\n0 1"),
+    ],
+    ids=["fd-str", "fd-float", "levels-none", "family-int", "edges-none", "theorem-list",
+         "catalog-list", "ring-int", "parse-bytes"],
+)
+def test_a_wrong_typed_argument_is_an_input_error(call):
+    # each failed in the standard library with a TypeError before it was checked
+    with pytest.raises(InputError):
+        call()
 
 
 def test_errors_defines_only_the_five_outcomes():

@@ -199,8 +199,10 @@ def test_append_to_an_open_handle_writes_and_flushes_the_line(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 def test_a_full_store_raises_io_error_and_closes_the_handle(monkeypatch):
-    with pytest.raises(IoError, match="^cannot append to /dev/full: "):
-        run_store_append("/dev/full", make_record())
+    # unbuffered, so the write itself fails and closing has nothing to flush
+    with open("/dev/full", "ab", buffering=0) as fh:
+        with pytest.raises(IoError, match="^cannot append to /dev/full: "):
+            run_store_append(fh, make_record())
     opened = _spy_on_open(monkeypatch)
     with pytest.raises(IoError, match="^cannot append to /dev/full: "):
         sweep_theorem("T1", 4, store="/dev/full")
@@ -219,9 +221,7 @@ def test_an_empty_store_path_is_refused(monkeypatch):
     with pytest.raises(InputError, match=refused):
         sweep_theorem("T1", 5, store="", resume=True)
     with pytest.raises(InputError, match=refused):
-        run_store_append("", make_record())
-    with pytest.raises(InputError, match=refused):
-        run_store_resume("")
+        run_store_resume("", "23")
 
 
 def test_resume_skips_what_is_already_stored(tmp_path):
@@ -313,37 +313,56 @@ def test_resume_is_scoped_by_family(tmp_path):
     # the triangle is in both families; a T2 resume must not skip it
     summary = sweep_theorem("T2", 3, store=store, resume=True)
     assert summary.checked == 1
-    assert set(run_store_resume(store)) == {key_of("K3")}
+    assert set(run_store_resume(store, family="23")) == {key_of("K3")}
     assert run_store_resume(store, family="2345") == {}
 
 
 def test_append_then_resume(tmp_path):
     store = tmp_path / "runs.jsonl"
     record = make_record()
-    run_store_append(store, record)
-    assert run_store_resume(store) == {record.key: record}
+    with open(store, "ab") as fh:
+        run_store_append(fh, record)
+    assert run_store_resume(store, family="23") == {record.key: record}
 
 
 def test_resume_on_empty_or_missing_store(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert run_store_resume(empty) == {}
-    assert run_store_resume(tmp_path / "never-written.jsonl") == {}
+    assert run_store_resume(empty, family="23") == {}
+    assert run_store_resume(tmp_path / "never-written.jsonl", family="23") == {}
 
 
 def test_corrupt_lines_are_skipped_with_a_warning(tmp_path, caplog):
     store = tmp_path / "runs.jsonl"
-    for i in range(10):
-        run_store_append(store, make_record(key=bytes([i])))
+    with open(store, "ab") as fh:
+        for i in range(10):
+            run_store_append(fh, make_record(key=bytes([i])))
     text = store.read_text()
     lines = text.splitlines()
     lines.insert(5, '{"v": 1, "family": "23", "key": "zz"')
     store.write_text("\n".join(lines) + "\n")
     with caplog.at_level("WARNING", logger="forestry.sweep"):
-        done = run_store_resume(store)
+        done = run_store_resume(store, family="23")
     assert set(done) == {bytes([i]) for i in range(10)}
     assert len(caplog.records) == 1
     assert "line 6" in caplog.text
+
+
+def test_a_line_of_any_shape_is_skipped_with_a_warning(tmp_path, caplog):
+    # a family that is no str, a count past float range, nesting past the
+    # recursion limit: each is a bad line, not a crash of the resume
+    store = tmp_path / "runs.jsonl"
+    good = record_line(make_record())
+    bad = [good.replace('"family": "23"', '"family": ["23"]'),
+           good.replace('"family": "23"', '"family": {}'),
+           good.replace('"forests": "38"', '"forests": Infinity'),
+           "[" * 100000]
+    store.write_text("\n".join([bad[0], good, *bad[1:]]) + "\n")
+    with caplog.at_level("WARNING", logger="forestry.sweep"):
+        assert run_store_resume(store, "23") == {make_record().key: make_record()}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    lines = [f"{store} line {i}" for i in (1, 3, 4, 5)]
+    assert [w.split(" skipped: ")[0] for w in warnings] == lines
 
 
 def test_an_undecodable_line_is_skipped_with_a_warning(tmp_path, caplog):
@@ -434,6 +453,37 @@ def test_record_line_writes_what_sorted_keys_would(family, n, key, forests, boun
     )
 
 
+FIELDS = sorted(json.loads(record_line(make_record())))
+# values near the ones record_line writes, so that some damaged lines still parse
+NEAR = ["23", "234", "2345", "GE", "EQ", "LT", "YES", "0a", "0A", "01 02", "38", " 38", "3_8",
+        "-5", 1, 2, 7, 1.0, True, False]
+JSON_VALUES = st.sampled_from(NEAR) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, min_size=1, max_size=3),
+    st.sets(st.sampled_from(FIELDS), max_size=1),
+    st.dictionaries(st.text(max_size=5).filter(lambda k: k not in FIELDS), JSON_VALUES,
+                    max_size=1),
+)
+def test_parse_record_round_trips_or_raises_corrupt_record(replaced, dropped, extra):
+    raw = {**json.loads(record_line(make_record())), **replaced, **extra}
+    for field in dropped:
+        del raw[field]
+    line = json.dumps(raw, sort_keys=True)
+    try:
+        record = parse_record(line)
+    except CorruptRecord:
+        return
+    assert record_line(record) == line
+
+
 def test_parse_record_takes_the_family_tags_from_the_theorems(monkeypatch):
     for tag in ("23", "234"):
         assert parse_record(record_line(make_record(family=tag))).family == tag
@@ -445,13 +495,10 @@ def test_parse_record_takes_the_family_tags_from_the_theorems(monkeypatch):
 
 
 def test_append_to_unwritable_location_raises(tmp_path):
-    with pytest.raises(IoError, match="^cannot append to /no/such/directory/runs.jsonl: "):
-        run_store_append("/no/such/directory/runs.jsonl", make_record())
-    # a directory cannot be opened for appending, and the sweep passes that on
-    with pytest.raises(IoError, match=f"^cannot append to {re.escape(str(tmp_path))}: "):
-        run_store_append(tmp_path, make_record())
-    with pytest.raises(IoError, match=f"^cannot append to {re.escape(str(tmp_path))}: "):
-        sweep_theorem("T1", 4, store=tmp_path)
+    # a missing directory, or a directory, cannot be opened for appending
+    for store in ("/no/such/directory/runs.jsonl", tmp_path):
+        with pytest.raises(IoError, match=f"^cannot append to {re.escape(str(store))}: "):
+            sweep_theorem("T1", 4, store=store)
 
 
 @pytest.mark.parametrize("store", [1, 2, 0, True, 2.0, b"runs.jsonl"])
@@ -467,9 +514,7 @@ def test_a_store_that_is_not_a_path_is_refused_before_any_work(store, monkeypatc
     with pytest.raises(InputError, match=refused):
         sweep_theorem("T1", 4, store=store, resume=True)
     with pytest.raises(InputError, match=refused):
-        run_store_append(store, make_record())
-    with pytest.raises(InputError, match=refused):
-        run_store_resume(store)
+        run_store_resume(store, "23")
     for fd in (1, 2):
         os.fstat(fd)  # raises when the descriptor was closed
 
