@@ -22,8 +22,10 @@ from the first cell that split.  Automorphisms prune the search (McKay &
 Piperno, J. Symbolic Comput. 60, 2014): a leaf equal to the best yields
 one, and the search returns to where the two paths part; a child in the
 orbit of an explored sibling, under the automorphisms found that fix the
-node's individualized vertices, is skipped.  Neither rule loses a
-serialization; the automorphisms found generate the group.
+node's individualized vertices, is skipped.  Automorphisms known in
+advance prune the same way from the start.  Neither rule loses a
+serialization, nor moves the first leaf that serializes to the least;
+the automorphisms found and given together generate the group.
 A run store keeps these keys, so any change to the serialization must
 bump sweep.RECORD_VERSION; a resume then recounts every stored graph.
 """
@@ -107,10 +109,10 @@ def _orbit(points, gens, fixed):
     return tree
 
 
-def _search(n, adj, cells, width):
+def _search(n, adj, cells, width, known=()):
     """The least serialization, automorphism generators, the best leaf's path and order."""
     best = best_order = best_path = None
-    gens = []  # automorphisms as {v: image} maps over the points they move
+    gens = list(known)  # automorphisms as {v: image} maps over the points they move
     path = []  # the vertex individualized at each depth above the current node
     nodes = []  # (cells, target cell index, explored children) per inner node on path
     t = 0  # the cells before the parent's target cell are singletons
@@ -146,13 +148,14 @@ def _search(n, adj, cells, width):
             return best, gens, best_path, best_order
 
 
-def search(n, adj, cells, width):
+def search(n, adj, cells, width, known=()):
     """The key, automorphism generators and canonical order from cells, width = _root(adj).
 
     order[i] is the vertex the key serializes at position i, so isomorphic
     graphs map onto each other by their orders.  The generators, {v: image}
-    maps over the points they move, generate the automorphism group."""
-    best, gens, _, order = _search(n, adj, cells, width)
+    maps over the points they move, generate the automorphism group.  Those
+    known in advance, passed as known in that form, prune too and come first."""
+    best, gens, _, order = _search(n, adj, cells, width, known)
     return best, gens, order
 
 

@@ -23,6 +23,10 @@ there, and the tie-break looks only at the ties there.  One canon search
 per child not rejected before it gives its key, its canonical order and
 generators of Aut(C), which it uses as a parent one level up.
 
+Seeds.  An automorphism of P that maps the hook onto itself extends to
+C by fixing the new vertex, so the parent's generators that do so seed
+the child's canon search, which returns the same key, order and group.
+
 Each class once.  C - v(C) is connected with degrees within the bound,
 so every graph has a chain of canonical parents back to K1.  Suppose C's
 canonical parent is kept as P.  P offers a hook in the orbit of the image
@@ -253,7 +257,8 @@ def family_levels(degree_set, n_max):
                     if min([at[u] for u in ties]) < at[new]:
                         continue
                     ties = [u for u in ties if at[u] == at[new]]
-                key, child_gens, order = canonical_search(child, cells, width)
+                seeds = [g for g in gens if {g.get(x, x) for x in hook} == set(hook)]
+                key, child_gens, order = canonical_search(child, cells, width, seeds)
                 if ties:
                     first = min(ties + [new], key=order.index)
                     if (new,) not in _orbit((first,), child_gens):

@@ -256,11 +256,11 @@ def automorphisms(g):
     return canon.automorphisms(g.n, g._adj)
 
 
-def canonical_search(g, cells, width):
+def canonical_search(g, cells, width, known):
     """(key, automorphism generators, canonical order) from one search.
 
     See canon.search; the key is cached, so canonical_key(g) is free after.
     """
-    key, gens, order = canon.search(g.n, g._adj, cells, width)
+    key, gens, order = canon.search(g.n, g._adj, cells, width, known)
     g._key = key
     return key, gens, order

@@ -195,6 +195,54 @@ def test_every_multigraph_on_four_vertices_matches_the_reference():
             _assert_matches_reference(n, _raw(n, dict(zip(pairs, mults))))
 
 
+# -- searches seeded with automorphisms known in advance ----------------
+
+
+def _moved(sigma):
+    return {v: x for v, x in enumerate(sigma) if v != x}
+
+
+@st.composite
+def graphs_with_known_automorphisms(draw):
+    # simple graphs and multigraphs, seeded with any automorphisms of
+    # theirs, products of generators included
+    n = draw(st.integers(0, 7))
+    top = draw(st.sampled_from([1, 3]))
+    pairs = list(itertools.combinations(range(n), 2))
+    mults = draw(st.lists(st.integers(0, top), min_size=len(pairs), max_size=len(pairs)))
+    adj = _raw(n, dict(zip(pairs, mults)))
+    group = reference_automorphisms(n, adj)
+    known = draw(st.lists(st.sampled_from(group), max_size=6, unique=True))
+    return n, adj, [_moved(sigma) for sigma in known]
+
+
+_PETERSEN_ADJ = _raw(10, dict.fromkeys(PETERSEN, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_known_automorphisms())
+@example((10, _PETERSEN_ADJ, canon.search(10, _PETERSEN_ADJ, *canon._root(_PETERSEN_ADJ))[1]))
+def test_known_automorphisms_keep_the_key_order_and_group(graph):
+    n, adj, known = graph
+    cells, width = canon._root(adj)
+    key, _, unseeded_order = canon.search(n, adj, cells, width)
+    found, gens, order = canon.search(n, adj, cells, width, known)
+    assert found == key
+    assert order == unseeded_order
+    assert _reference_serialize(n, adj, [0] * n, order) == key
+    assert gens[: len(known)] == known
+    # the given and the found generators together generate the whole group
+    group = {tuple(range(n))}
+    queue = list(group)
+    for sigma in queue:
+        for g in gens:
+            image = tuple([g.get(x, x) for x in sigma])
+            if image not in group:
+                group.add(image)
+                queue.append(image)
+    assert len(group) == len(reference_automorphisms(n, adj))
+
+
 # -- the root read off the multiplicity profiles ------------------------
 
 

@@ -213,11 +213,19 @@ SEARCHES = {
     ((2, 3, 4), 7): (272, {"rejected": 17, "accepted": 9, "orbit test": 138}),
 }
 
+# (degree set, largest order): automorphism generators the parents seed
+# the canon searches with, and those the searches find
+AUTOMORPHISMS = {
+    ((2, 3), 9): (396, 235),
+    ((2, 3, 4), 7): (282, 155),
+}
+
 
 @pytest.mark.parametrize("degree_set, n_max", sorted(SEARCHES))
 def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_max):
     tied = []  # (neighbour lists, ties) of every child with ties
     searched = []
+    generators = Counter()
     ties, search = families._ties, families.canonical_search
 
     def recording_ties(nbrs, degrees, cuts):
@@ -226,9 +234,21 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
             tied.append((nbrs, found))
         return found
 
-    def counting_search(g, cells, width):
+    def counting_search(g, cells, width, known):
         searched.append(g.n)
-        return search(g, cells, width)
+        new = g.n - 1
+        hook = set(g._adj[new])
+        for a in known:
+            # a parent automorphism that maps the hook onto itself, with
+            # the new vertex fixed, is an automorphism of the child
+            sigma = [a.get(v, v) for v in range(g.n)]
+            assert sigma[new] == new and {sigma[v] for v in hook} == hook
+            assert all(g._adj[sigma[v]] == {sigma[w]: t for w, t in g._adj[v].items()}
+                       for v in range(g.n))
+        found = search(g, cells, width, known)
+        generators["seeded"] += len(known)
+        generators["found"] += len(found[1]) - len(known)
+        return found
 
     monkeypatch.setattr(families, "_ties", recording_ties)
     monkeypatch.setattr(families, "canonical_search", counting_search)
@@ -257,6 +277,7 @@ def test_the_root_cells_agree_with_the_full_search(monkeypatch, degree_set, n_ma
     searches, want = SEARCHES[degree_set, n_max]
     assert len(searched) == searches
     assert dict(verdicts) == want
+    assert (generators["seeded"], generators["found"]) == AUTOMORPHISMS[degree_set, n_max]
 
 
 # (degree set, largest order): hooks offered, and the children of those
