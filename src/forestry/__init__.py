@@ -7,15 +7,14 @@ exhaustive family generators, theorem sweeps with a persistent run
 store, and a command-line front end.
 
 Importing the package loads none of its modules.  The first use of a
-name below, or of a module that exports them, imports every such module
-and binds every name, so the namespace is then complete; any other name
-is refused at once.  A module of the package must not ``from . import``
-a module of the table: that asks this namespace for it in the middle of
-an import.
+name below, or of a module that exports them, goes to the module-level
+``__getattr__`` (PEP 562), which imports every such module, binds every
+name and then removes itself: the namespace is complete, and CPython
+specializes later reads of ``forestry.name`` only on a module without
+one.  Any other name is refused at once and leaves the hook in place.  A
+module of the package must not ``from . import`` a module of the table:
+that asks this namespace for it in the middle of the load.
 """
-
-import sys as _sys
-from types import ModuleType as _ModuleType
 
 # module -> the names the package exports from it
 _EXPORTS = {
@@ -47,25 +46,13 @@ _EXPORTS = {
 __all__ = [name for names in _EXPORTS.values() for name in names]
 
 
-class _Package(_ModuleType):
-    """The package until a name is first used, and a plain module after.
+def __getattr__(name):
+    if name not in _EXPORTS and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-    A module-level ``__getattr__`` (PEP 562) would load it the same way,
-    but CPython does not specialize attribute reads on a module whose
-    namespace holds one, so every later ``forestry.name`` would stay
-    about twice as slow to look up.
-    """
-
-    def __getattr__(self, name):
-        if name not in _EXPORTS and name not in __all__:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        from importlib import import_module
-
-        for module, names in _EXPORTS.items():
-            mod = import_module(f".{module}", __name__)
-            globals().update((n, getattr(mod, n)) for n in names)
-        self.__class__ = _ModuleType
-        return globals()[name]
-
-
-_sys.modules[__name__].__class__ = _Package
+    for module, names in _EXPORTS.items():
+        mod = import_module(f".{module}", __name__)
+        globals().update((n, getattr(mod, n)) for n in names)
+    globals().pop("__getattr__", None)
+    return globals()[name]

@@ -8,6 +8,7 @@ before and after the code it runs.
 
 import ast
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,16 +197,69 @@ def test_only_main_writes_a_result():
     assert not writers, f"these handlers write their own output: {writers}"
 
 
+# what CPython needs before it specializes reads of forestry.name: a plain
+# module whose namespace holds no __getattr__
+PLAIN = (
+    "\nimport forestry, types\nassert type(forestry) is types.ModuleType"
+    "\nassert '__getattr__' not in vars(forestry)"
+)
+TABLE = {f"forestry.{module}" for module in forestry._EXPORTS}
+
+
+def test_the_hook_loads_on_first_use_and_then_removes_itself():
+    assert len(TABLE) == 9
+    before = "import forestry\nassert '__getattr__' in vars(forestry)"
+    assert _loaded(before) == {"forestry"}
+    code = "import forestry\nforestry.catalog()" + PLAIN
+    code += "\nassert all(n in vars(forestry) for n in %r)" % EXPORTS
+    code += "\nassert all(getattr(forestry, m) is sys.modules['forestry.' + m] for m in %r)" % (
+        sorted(forestry._EXPORTS),
+    )
+    assert TABLE <= _loaded(code)
+
+
 def test_an_unknown_name_is_refused_without_loading_anything():
     code = "import forestry\nassert not hasattr(forestry, 'no_such_name')"
+    # the refusal leaves the hook for the first real use
+    code += "\nassert '__getattr__' in vars(forestry)"
     assert _loaded(code) == {"forestry"}
 
 
 def test_a_star_import_binds_every_name_and_leaves_a_plain_module():
     code = "from forestry import *\nassert all(n in globals() for n in %r)" % EXPORTS
-    # a plain module, so that later reads of forestry.name are specialized
-    code += "\nimport forestry, types\nassert type(forestry) is types.ModuleType"
-    assert "forestry.sweep" in _loaded(code)
+    assert TABLE <= _loaded(code + PLAIN)
+
+
+def _package_imports(path):
+    """The names that the file imports from the package's own namespace."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module is None)
+            or (node.level == 0 and node.module == "forestry")
+        ):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_module_imports_the_table_from_the_package():
+    # such an import, run while the hook loads the table, would ask the hook
+    # again and bind names from modules that are still half loaded
+    exported = set(forestry._EXPORTS) | set(forestry.__all__)
+    found = {p.name: _package_imports(p) & exported for p in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), {k: sorted(v) for k, v in found.items() if v}
+    assert _package_imports(SRC / "multigraph.py") == {"canon"}  # not in the table
+
+
+def test_every_file_parses_at_the_requires_python_floor():
+    # only the CI leg on the floor would otherwise catch syntax newer than it
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    version = (int(floor[1]), int(floor[2]))
+    files = [p for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert len(files) > 25
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_a_module_of_the_table_loads_the_namespace():
